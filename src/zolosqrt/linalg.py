@@ -1,11 +1,10 @@
 """Minimal dense complex linear algebra on numpy/scipy kernels.
 
-Matrices are plain complex128 ndarrays validated by dense(); pivoted LU
-comes from LAPACK via scipy with singularity surfaced as a flag on the
-factor object rather than an exception, so callers decide how hard to
-fail. Determinants are carried in sign-and-log-magnitude form to keep
-determinantal scaling overflow-free.
-"""
+Matrices are plain complex128 ndarrays validated by dense(). Pivoted LU
+and its solves call LAPACK zgetrf/zgetrs directly; singularity is a flag
+on the factor object, never an exception or warning, so callers decide
+how hard to fail. Determinants, in overflow-free sign-and-log-magnitude
+form, are computed from the factor on access."""
 
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgetrf as _getrf, zgetrs as _getrs
 
 _EPS = 2.0 ** -53
 _POWER_SEED = 0x5EED5EED
@@ -65,15 +64,26 @@ class LUFactors:
     ``singular`` is set when some pivot magnitude falls below
     n*u*norm(A, inf); solve/inverse/det refuse flagged factors.
     ``det_phase`` is the unit-modulus factor with det A =
-    det_phase * exp(det_log).
+    det_phase * exp(det_log); both are computed on access.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     n: int
     singular: bool
-    det_phase: complex
-    det_log: float
+
+    @property
+    def det_log(self) -> float:
+        absdiag = np.abs(np.diagonal(self.lu))
+        return -math.inf if np.any(absdiag == 0.0) else float(np.sum(np.log(absdiag)))
+
+    @property
+    def det_phase(self) -> complex:
+        if self.det_log == -math.inf:
+            return 0.0 + 0.0j
+        diag = np.diagonal(self.lu)
+        swaps = int(np.count_nonzero(self.piv != np.arange(self.n)))
+        return complex((-1.0) ** swaps) * complex(np.prod(diag / np.abs(diag)))
 
 
 class SpectralExtremes(NamedTuple):
@@ -95,30 +105,22 @@ def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
 
 
 def lu_factor(A: DenseMatrix) -> LUFactors:
-    """Partial-pivoted LU. Never raises for singular input; the returned
-    factor carries a singularity flag instead."""
+    """Partial-pivoted LU. Never raises or warns for singular input; the
+    returned factor carries a singularity flag instead."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; the flag below covers it
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    diag = np.diagonal(lu)
-    absdiag = np.abs(diag)
+    # LAPACK rejects (and prints about) n = 0; empty factors and solves are trivial
+    lu, piv, info = _getrf(A) if n else (A.copy(), np.arange(0, dtype=np.int32), 0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf (lu_factor)")
+    absdiag = np.abs(np.diagonal(lu))
     a_inf = float(np.max(np.sum(np.abs(A), axis=1))) if n else 0.0
     singular = bool(np.any(absdiag <= n * _EPS * a_inf) or np.any(absdiag == 0.0))
-    swaps = int(np.count_nonzero(piv != np.arange(n)))
-    phase = complex((-1.0) ** swaps)
-    if singular and np.any(absdiag == 0.0):
-        det_log = -math.inf
-        det_phase = 0.0 + 0.0j
-    else:
-        det_log = float(np.sum(np.log(absdiag)))
-        det_phase = phase * complex(np.prod(diag / absdiag))
-    return LUFactors(
-        lu=lu, piv=piv, n=n, singular=singular,
-        det_phase=det_phase, det_log=det_log,
-    )
+    return LUFactors(lu=lu, piv=piv, n=n, singular=singular)
+
+
+def _lu_solve(F: LUFactors, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    return _getrs(F.lu, F.piv, B, trans=trans)[0] if F.n else np.empty_like(B)
 
 
 def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
@@ -131,10 +133,9 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
         raise SingularMatrixError("solve with a singular factor")
     B = np.asarray(B, dtype=complex)
     if side == "left":
-        return scipy.linalg.lu_solve((F.lu, F.piv), B, trans=0, check_finite=False)
+        return _lu_solve(F, B)
     if side == "right":
-        Xt = scipy.linalg.lu_solve((F.lu, F.piv), B.T, trans=1, check_finite=False)
-        return np.ascontiguousarray(Xt.T)
+        return np.ascontiguousarray(_lu_solve(F, B.T, trans=1).T)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -229,7 +230,7 @@ def extreme_eigen_moduli(A: DenseMatrix) -> SpectralExtremes:
     inv_est = 0.0
     lo_converged = False
     for _ in range(200):
-        w = scipy.linalg.lu_solve((F.lu, F.piv), v, check_finite=False)
+        w = _lu_solve(F, v)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             break

@@ -255,10 +255,11 @@ def eval_shat(p: ZoloParams, x):
 def alpha_step(p: ZoloParams) -> float:
     """One step of the interval-parameter recursion: alpha * h(alpha^2).
 
-    The result lies in (alpha, 1); iterating it drives alpha to 1.
+    The result lies in (alpha, 1]; a rounded product above 1 is clamped
+    to 1.0. Iterating it drives alpha to 1.
     """
     pf = build_partial_fraction(p)
-    return p.alpha * _eval_h_real(pf, p.alpha * p.alpha)
+    return min(p.alpha * _eval_h_real(pf, p.alpha * p.alpha), 1.0)
 
 
 def advance_alpha(alpha: float, m: int, ell: int) -> float:
@@ -267,9 +268,7 @@ def advance_alpha(alpha: float, m: int, ell: int) -> float:
     if alpha >= 1.0:
         return 1.0
     a1 = alpha_step(ZoloParams(m, ell, alpha))
-    if 1.0 - a1 < _EPS:
-        return 1.0
-    return min(a1, 1.0)
+    return 1.0 if 1.0 - a1 < _EPS else a1
 
 
 def epsilon_of(p: ZoloParams) -> float:

@@ -1,9 +1,11 @@
 """Dense kernel tests: factorization, solves, norms, spectral estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -278,3 +280,34 @@ def test_det_log_homogeneity():
 def test_det_log_rejects_singular():
     with pytest.raises(SingularMatrixError):
         det_log_magnitude(lu_factor(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_lapack_layer_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    A = _random_complex(n, rng)
+    B = _random_complex(n, rng)
+    F = lu_factor(A)
+    lu, piv = scipy.linalg.lu_factor(A)
+    assert np.array_equal(F.lu, lu)
+    assert np.array_equal(F.piv, piv)
+    assert np.array_equal(solve(F, B, "left"), scipy.linalg.lu_solve((lu, piv), B))
+    assert np.array_equal(
+        solve(F, B, "right"), scipy.linalg.lu_solve((lu, piv), B.T, trans=1).T)
+    assert np.array_equal(
+        inverse(F), scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex)))
+
+
+def test_lu_exactly_singular_is_a_flag_not_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = lu_factor(np.zeros((2, 2)))
+    assert F.singular
+
+
+def test_lu_empty_matrix_stays_off_lapack(capfd):
+    F = lu_factor(np.zeros((0, 0)))
+    assert not F.singular
+    assert F.det_log == 0.0
+    assert solve(F, np.zeros((0, 0))).shape == (0, 0)
+    assert capfd.readouterr().err == ""
