@@ -2,10 +2,11 @@
 kappa contour grids, and benchmark runs.
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical failure
-(non-convergence or a singular matrix). Matrix files are either
-Matrix Market "array complex general" (real general accepted on read)
-or a CSV grid with ';' between cells and ',' between the real and
-imaginary parts of each cell.
+(non-convergence or a singular matrix). Matrix files round-trip bit-exactly.
+They are either Matrix Market "array complex general" (real general accepted
+on read; numpy.loadtxt parses the body, scipy.io.mmwrite writes it in scipy's
+decimal spelling) or a CSV grid with ';' between cells and ',' between the
+real and imaginary parts of each cell.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
+import scipy.io
 
 from .corpus import (
     TestCase,
@@ -106,56 +109,60 @@ def _read_csv_matrix(path: str) -> np.ndarray:
 
 def _read_mm_matrix(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    header = lines[0].strip().lower().split()
-    if (len(header) != 5 or header[0] != "%%matrixmarket"
-            or header[1] != "matrix" or header[2] != "array"
-            or header[3] not in ("complex", "real") or header[4] != "general"):
-        raise ValueError(
-            f"{path}:1: expected header '%%MatrixMarket matrix array "
-            f"complex general', got {lines[0].strip()!r}"
-        )
-    is_complex = header[3] == "complex"
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
-        raise ValueError(f"{path}: missing size line")
-    lineno, size_line = body[0]
-    dims = size_line.split()
-    if len(dims) != 2:
-        raise ValueError(f"{path}:{lineno}: size line must be 'rows cols'")
-    nrows = int(_parse_float(dims[0], path, lineno))
-    ncols = int(_parse_float(dims[1], path, lineno))
-    if nrows != ncols:
-        raise ValueError(f"{path}: matrix is not square ({nrows}x{ncols})")
-    entries = body[1:]
-    if len(entries) != nrows * ncols:
-        raise ValueError(
-            f"{path}: expected {nrows * ncols} entries, found {len(entries)}"
-        )
-    M = np.empty((nrows, ncols), dtype=complex)
-    pos = 0
-    for j in range(ncols):  # array format is column-major
-        for i in range(nrows):
-            lineno, text = entries[pos]
-            parts = text.split()
-            if is_complex:
-                if len(parts) != 2:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected 're im', got {text!r}"
-                    )
-                M[i, j] = complex(_parse_float(parts[0], path, lineno),
-                                  _parse_float(parts[1], path, lineno))
-            else:
-                if len(parts) != 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected one value, got {text!r}"
-                    )
-                M[i, j] = _parse_float(parts[0], path, lineno)
-            pos += 1
-    return M
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty matrix file")
+        header = first.strip().lower().split()
+        if (len(header) != 5 or header[0] != "%%matrixmarket"
+                or header[1] != "matrix" or header[2] != "array"
+                or header[3] not in ("complex", "real") or header[4] != "general"):
+            raise ValueError(
+                f"{path}:1: expected header '%%MatrixMarket matrix array "
+                f"complex general', got {first.strip()!r}"
+            )
+        width = 2 if header[3] == "complex" else 1
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip() and not line.lstrip().startswith("%"):
+                break
+        else:
+            raise ValueError(f"{path}: missing size line")
+        dims = line.split()
+        if len(dims) != 2:
+            raise ValueError(f"{path}:{lineno}: size line must be 'rows cols'")
+        nrows, ncols = (int(_parse_float(d, path, lineno)) for d in dims)
+        if nrows != ncols:
+            raise ValueError(f"{path}: matrix is not square ({nrows}x{ncols})")
+        # loadtxt reads a subset of what float() reads, to the same bits. It
+        # fails on '%' lines and warns on an empty body; the scan takes both.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                vals = np.loadtxt(fh, comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            vals = None
+    if vals is None or vals.shape != (nrows * ncols, width):
+        vals = _scan_mm_entries(path, lineno, nrows * ncols, width)
+    # Column-major; view(complex) keeps a -0.0 real part, re + 1j*im would not.
+    return (vals.view(complex) if width == 2 else vals)[:, 0].reshape(ncols, nrows).T
+
+
+def _scan_mm_entries(path: str, start: int, count: int, width: int) -> np.ndarray:
+    """Parse the entries after line ``start`` token by token, naming the file
+    line in errors; reads what float() reads but loadtxt does not ('1_0')."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()[start:]
+    entries = [(i, ln.strip()) for i, ln in enumerate(lines, start=start + 1)
+               if ln.strip() and not ln.lstrip().startswith("%")]
+    if len(entries) != count:
+        raise ValueError(f"{path}: expected {count} entries, found {len(entries)}")
+    vals = []
+    for lineno, text in entries:
+        parts = text.split()
+        if len(parts) != width:
+            want = "'re im'" if width == 2 else "one value"
+            raise ValueError(f"{path}:{lineno}: expected {want}, got {text!r}")
+        vals += [_parse_float(part, path, lineno) for part in parts]
+    return np.array(vals, dtype=float).reshape(count, width)
 
 
 def read_matrix(path: str, format: str = "matrixmarket") -> np.ndarray:
@@ -169,26 +176,21 @@ def read_matrix(path: str, format: str = "matrixmarket") -> np.ndarray:
 
 
 def write_matrix(M: np.ndarray, path: str, format: str = "matrixmarket") -> None:
-    """Write M so that read_matrix returns it bit-exactly (shortest
-    round-trip decimals via repr)."""
+    """Write M so that read_matrix returns it bit-exactly. Matrix Market
+    files are written by scipy.io.mmwrite as "array complex general", in
+    scipy's shortest round-trip spelling (such as '1E-1'); CSV cells by repr."""
     M = dense(M)
-    n = M.shape[0]
     if format == "matrixmarket":
-        out = ["%%MatrixMarket matrix array complex general", f"{n} {n}"]
-        for j in range(n):
-            for i in range(n):
-                z = M[i, j]
-                out.append(f"{float(z.real)!r} {float(z.imag)!r}")
-        text = "\n".join(out) + "\n"
+        with open(path, "wb") as fh:  # given a name, mmwrite would add '.mtx'
+            scipy.io.mmwrite(fh, M, symmetry="general")
     elif format == "csv":
-        text = "\n".join(
-            ";".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row)
-            for row in M
-        ) + "\n"
+        rows = zip(M.real.tolist(), M.imag.tolist())
+        text = "\n".join(";".join(f"{re!r},{im!r}" for re, im in zip(*row))
+                         for row in rows) + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         raise ValueError(f"unknown matrix format {format!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _check_overwrite(path: str, force: bool) -> None:
@@ -271,11 +273,9 @@ def cmd_contour(cfg) -> int:
         print(f"{outside} grid points outside the estimate's validity region",
               file=sys.stderr)
     lines = ["log10_abs_z,arg_z,kappa"]
-    for i in range(n_r):
-        for j in range(n_theta):
-            lines.append(
-                f"{float(log_r[i])!r},{float(theta[j])!r},{float(kappa[i, j])!r}"
-            )
+    mid = [f",{t!r}," for t in theta.tolist()]
+    for r, row in zip(map(repr, log_r.tolist()), kappa.tolist()):
+        lines += map("".join, zip([r] * n_theta, mid, map(repr, row)))
     _emit_text("\n".join(lines) + "\n", cfg.output, cfg.force)
     return 0
 

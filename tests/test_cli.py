@@ -3,9 +3,11 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.io
 from numpy.testing import assert_allclose
 
 from zolosqrt.cli import main, read_matrix, write_matrix
@@ -86,6 +88,101 @@ def test_mm_parse_error_carries_line_number(tmp_path):
     p = _write(tmp_path / "bad.mtx", text)
     with pytest.raises(ValueError, match=r":4:"):
         read_matrix(p)
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def test_mm_write_keeps_the_given_name(tmp_path):
+    write_matrix(np.eye(2), str(tmp_path / "x.dat"))
+    assert (tmp_path / "x.dat").is_file()
+    assert not (tmp_path / "x.dat.mtx").exists()
+
+
+def test_mm_write_symmetric_input_as_complex_general(tmp_path):
+    p = str(tmp_path / "s.mtx")
+    write_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]), p)
+    with open(p, encoding="utf-8") as fh:
+        assert fh.readline() == "%%MatrixMarket matrix array complex general\n"
+
+
+def test_mm_roundtrip_keeps_signs_and_extremes(tmp_path):
+    rng = np.random.default_rng(64)
+    M = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    for part in (M.real, M.imag):
+        for value in special:
+            part.flat[rng.choice(M.size, 7, replace=False)] = value
+    p = str(tmp_path / "m.mtx")
+    write_matrix(M, p)
+    back = read_matrix(p)
+    assert _same_bits(back, M)
+    assert np.signbit(back.real).sum() > 0 and np.signbit(back.imag).sum() > 0
+
+
+def test_mm_written_file_reads_with_scipy(tmp_path):
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    p = str(tmp_path / "m.mtx")
+    write_matrix(M, p)
+    assert np.array_equal(scipy.io.mmread(p), M)
+
+
+def test_mm_reads_scipy_real_general_file(tmp_path):
+    A = np.random.default_rng(8).standard_normal((64, 64))
+    p = str(tmp_path / "a.mtx")
+    scipy.io.mmwrite(p, A, symmetry="general")
+    assert "\n%" in (tmp_path / "a.mtx").read_text(encoding="utf-8")  # its % line
+    assert np.array_equal(read_matrix(p), scipy.io.mmread(p).astype(complex))
+
+
+def test_mm_comment_and_blank_lines_between_entries(tmp_path):
+    text = ("%%MatrixMarket matrix array real general\n% size next\n2 2\n"
+            "1.0\n% mid\n\n3.0\n  % indented\n2.0\n\n4.0\n")
+    p = _write(tmp_path / "c.mtx", text)
+    assert np.array_equal(read_matrix(p), np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_mm_token_scan_reads_the_same_bits(tmp_path):
+    # A '%' line after the size line sends the body through the token scan;
+    # without it the same entries are read by one loadtxt call.
+    tokens = ["-0", "-0.0", "5E-324", "4.9406564584124654E-324", "+.5e-3", "7.",
+              "1.7976931348623157E308", "-1.7976931348623157e+308", "1E-1",
+              "0.1", "3.333333333333333E-1", "2.2250738585072014e-308",
+              "1e-400", "-1e-400", "123456789012345678901234567890", "2"]
+    head = "%%MatrixMarket matrix array complex general\n4 4\n"
+    body = [f"{tokens[k]} {tokens[-1 - k]}\n" for k in range(16)]
+    fast = read_matrix(_write(tmp_path / "a.mtx", head + "".join(body)))
+    scan = read_matrix(_write(tmp_path / "b.mtx", head + "% x\n" + "".join(body)))
+    want = np.array([complex(float(tokens[k]), float(tokens[-1 - k]))
+                     for k in range(16)]).reshape(4, 4).T
+    assert _same_bits(fast, want) and _same_bits(scan, want)
+
+
+def test_mm_bad_token_after_comment_names_file_line(tmp_path):
+    text = ("%%MatrixMarket matrix array real general\n% size next\n2 2\n"
+            "1.0\n% mid\n\nfoo\n2.0\n3.0\n")
+    p = _write(tmp_path / "bad.mtx", text)
+    with pytest.raises(ValueError, match=r"bad\.mtx:7: cannot parse number 'foo'"):
+        read_matrix(p)
+
+
+def test_mm_empty_and_missing_bodies_warn_nothing(tmp_path):
+    head = "%%MatrixMarket matrix array complex general\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_matrix(_write(tmp_path / "z.mtx", head + "0 0\n")).shape == (0, 0)
+        with pytest.raises(ValueError, match="expected 4 entries, found 0"):
+            read_matrix(_write(tmp_path / "n.mtx", head + "2 2\n\n"))
+
+
+def test_mm_reads_what_float_reads(tmp_path):
+    p = _write(tmp_path / "u.mtx",
+               "%%MatrixMarket matrix array real general\n1 1\n1_0\n")
+    assert np.array_equal(read_matrix(p), np.array([[10.0]]))
 
 
 def test_csv_rejects_nonsquare(tmp_path):
