@@ -22,6 +22,7 @@ from zolosqrt.corpus import (
     gen_rank_one,
     gen_spd_logspectrum,
     method_label,
+    select_methods,
 )
 from zolosqrt.linalg import SingularMatrixError
 from zolosqrt.sqrtm import IterationAbortError, sqrtm_drive
@@ -79,11 +80,10 @@ def main(argv=None):
 
     methods = bench_methods()
     if args.methods:
-        by_label = {method_label(o): o for o in methods}
-        unknown = [x for x in args.methods if x not in by_label]
-        if unknown:
-            ap.error(f"unknown method label(s): {', '.join(unknown)}")
-        methods = [by_label[x] for x in args.methods]
+        try:
+            methods = select_methods(methods, args.methods)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     for n in args.sizes:
         rows, seconds = sweep(corpus_at(n), methods)

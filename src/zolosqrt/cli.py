@@ -25,8 +25,8 @@ from .corpus import (
     bench_cases,
     bench_methods,
     emit_csv,
-    method_label,
     run_suite,
+    select_methods,
 )
 from .linalg import SingularMatrixError, dense, norm
 from .sqrtm import IterationAbortError, IterationOptions, sqrtm_drive
@@ -126,10 +126,12 @@ def _read_mm_matrix(path: str) -> np.ndarray:
                 break
         else:
             raise ValueError(f"{path}: missing size line")
-        dims = line.split()
-        if len(dims) != 2:
-            raise ValueError(f"{path}:{lineno}: size line must be 'rows cols'")
-        nrows, ncols = (int(_parse_float(d, path, lineno)) for d in dims)
+        dims = [_parse_float(d, path, lineno) for d in line.split()]
+        # is_integer() is False for inf and nan; '1e1' still reads as 10.
+        if len(dims) != 2 or not all(d >= 0 and d.is_integer() for d in dims):
+            raise ValueError(f"{path}:{lineno}: size line must be 'rows cols', "
+                             f"two integers >= 0; got {line.strip()!r}")
+        nrows, ncols = map(int, dims)
         if nrows != ncols:
             raise ValueError(f"{path}: matrix is not square ({nrows}x{ncols})")
         # loadtxt reads a subset of what float() reads, to the same bits. It
@@ -312,14 +314,7 @@ def cmd_bench(cfg) -> int:
     cases = _load_directory_cases(cfg.directory) if cfg.directory else bench_cases()
     methods = bench_methods()
     if cfg.methods:
-        by_label = {method_label(m): m for m in methods}
-        unknown = [lab for lab in cfg.methods if lab not in by_label]
-        if unknown:
-            raise ValueError(
-                f"unknown method label(s) {unknown}; "
-                f"choose from {sorted(by_label)}"
-            )
-        methods = [by_label[lab] for lab in cfg.methods]
+        methods = select_methods(methods, cfg.methods)
     rows = run_suite(cases, methods)
     _emit_text(emit_csv(rows), cfg.output, cfg.force)
     return 0

@@ -36,6 +36,7 @@ __all__ = [
     "run_suite",
     "emit_csv",
     "method_label",
+    "select_methods",
     "bench_cases",
     "bench_methods",
 ]
@@ -247,6 +248,18 @@ def method_label(opts: IterationOptions) -> str:
     if opts.method == "pade":
         return f"P-({opts.m},{opts.ell})"
     return "DB"
+
+
+def select_methods(methods, labels) -> list[IterationOptions]:
+    """The methods named by labels, in label order; ValueError names any
+    label that matches none of them."""
+    by_label = {method_label(m): m for m in methods}
+    unknown = [lab for lab in labels if lab not in by_label]
+    if unknown:
+        raise ValueError(
+            f"unknown method label(s) {unknown}; choose from {sorted(by_label)}"
+        )
+    return [by_label[lab] for lab in labels]
 
 
 def run_suite(cases, methods) -> list[SuiteRow]:

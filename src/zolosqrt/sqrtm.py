@@ -2,10 +2,12 @@
 
 The driver scales the problem to unit spectral radius, picks the
 interval parameter alpha from spectral-extreme estimates, and runs one
-of three methods: the minimax rational iteration (full or alt form),
-the fixed-coefficient Pade comparator, and the Denman-Beavers
-comparator. States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for
-Denman-Beavers the pair (X_k, Y_k) lives in the same two slots).
+of three methods. The minimax iteration (full or alt form) and the Pade
+comparator share one partial-fraction update, Y' = Y h(Z Y), Z' = h(Z Y) Z,
+with h's coefficients taken at alpha_k; Pade is its alpha = 1 case, plus
+optional determinantal scaling. Denman-Beavers is the third method.
+States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the
+pair (X_k, Y_k) lives in the same two slots).
 
 Per-step shifted factorizations are independent and run on a thread
 pool when the ZOLO_THREADS environment variable allows; the
@@ -111,10 +113,11 @@ class IterationState:
     """One iterate of a coupled method.
 
     ``prev_change`` is the relative change that produced this state,
-    maintained by sqrtm_drive (inf before the first step); ``diag``
+    set by termination_check (inf before the first step); ``diag``
     carries step byproducts: "zy_gap" = norm of the tilde-normalized
     Z_k Y_k - I formed by a full-form step, "z_inv_norm" = norm of the
-    Z_k^{-1} (or Denman-Beavers Y_k^{-1}) that an alt-form step inverted.
+    Z_k^{-1} (or Denman-Beavers Y_k^{-1}) that an alt-form step inverted,
+    and "change" = the step change recorded by termination_check.
     """
 
     Y: DenseMatrix
@@ -196,83 +199,76 @@ def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
-def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt", *,
-              norm_kind: str = "inf") -> IterationState:
-    """One coupled minimax step of type (p.m, p.ell).
+def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
+    """The partial-fraction update Y' = Y h(Z Y), Z' = h(Z Y) Z with
+    h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])).
 
-    Coefficients are evaluated at the state's alpha_k (p fixes the type;
-    once alpha_k has been clamped to 1 the Pade limit coefficients are
-    substituted). The full form factors the m shifted systems
-    Z_k Y_k + c_j I; the alt form factors Z_k once and the m systems
-    Y_k + c_j Z_k^{-1}, storing norm(Z_k^{-1}) as a byproduct.
+    The full form factors Z Y + c_j I and records the gap norm(t^2 Z Y - I)
+    with t the tilde factor; the alt form factors Z once and Y + c_j Z^{-1},
+    recording norm(Z^{-1}). k indexes the state being advanced.
     """
-    if form not in _FORMS:
-        raise ValueError(f"form must be 'full' or 'alt', got {form!r}")
-    alpha = st.alpha_k
-    pf = _form_for(p.m, p.ell, alpha)
-    shifts = pf.shifts
-    residues = pf.residues
-    Y, Z = st.Y, st.Z
-    n = Y.shape[0]
-    eye = np.eye(n, dtype=complex)
+    shifts, residues = pf.shifts, pf.residues
+    m = len(shifts)
+    eye = np.eye(Y.shape[0], dtype=complex)
     diag: dict = {}
+
+    def factor(M, j: int):
+        F = lu_factor(M)
+        if F.singular:
+            raise IterationAbortError(
+                f"singular shifted system at iteration {k + 1}, "
+                f"shift {j + 1} (c = {shifts[j]:.6g})"
+            )
+        return F
 
     if form == "full":
         P = matmul(Z, Y)
-        t2 = _tilde_factor(alpha) ** 2
-        diag["zy_gap"] = norm(t2 * P - eye, norm_kind)
+        diag["zy_gap"] = norm(t ** 2 * P - eye, norm_kind)
 
         def shifted_pair(j: int):
-            F = lu_factor(P + shifts[j] * eye)
-            if F.singular:
-                raise IterationAbortError(
-                    f"singular shifted system at iteration {st.k + 1}, "
-                    f"shift {j + 1} (c = {shifts[j]:.6g})"
-                )
+            F = factor(P + shifts[j] * eye, j)
             return _la.solve(F, Y, side="right"), _la.solve(F, Z, side="left")
 
-        pairs = _map_shifts(shifted_pair, p.m)
-        sum_y = sum(residues[j] * pairs[j][0] for j in range(p.m))
-        sum_z = sum(residues[j] * pairs[j][1] for j in range(p.m))
-        if pf.has_constant_term:
-            sum_y = Y + sum_y
-            sum_z = Z + sum_z
-        y_new = pf.scale * sum_y
-        z_new = pf.scale * sum_z
+        pairs = _map_shifts(shifted_pair, m)
+        y_new = sum(residues[j] * pairs[j][0] for j in range(m))
+        z_new = sum(residues[j] * pairs[j][1] for j in range(m))
     else:
         FZ = lu_factor(Z)
         if FZ.singular:
-            raise IterationAbortError(
-                f"singular Z iterate at iteration {st.k + 1}"
-            )
+            raise IterationAbortError(f"singular Z iterate at iteration {k + 1}")
         W = inverse(FZ)
         diag["z_inv_norm"] = norm(W, norm_kind)
 
         def shifted_pair(j: int):
-            F = lu_factor(Y + shifts[j] * W)
-            if F.singular:
-                raise IterationAbortError(
-                    f"singular shifted system at iteration {st.k + 1}, "
-                    f"shift {j + 1} (c = {shifts[j]:.6g})"
-                )
+            F = factor(Y + shifts[j] * W, j)
             return _la.solve(F, Y, side="right"), inverse(F)
 
-        pairs = _map_shifts(shifted_pair, p.m)
-        sum_v = sum(residues[j] * pairs[j][0] for j in range(p.m))
-        sum_g = sum(residues[j] * pairs[j][1] for j in range(p.m))
-        y_new = matmul(sum_v, W)
-        z_new = sum_g
-        if pf.has_constant_term:
-            y_new = Y + y_new
-            z_new = Z + z_new
-        y_new = pf.scale * y_new
-        z_new = pf.scale * z_new
+        pairs = _map_shifts(shifted_pair, m)
+        y_new = matmul(sum(residues[j] * pairs[j][0] for j in range(m)), W)
+        z_new = sum(residues[j] * pairs[j][1] for j in range(m))
+    if pf.has_constant_term:
+        y_new = Y + y_new
+        z_new = Z + z_new
+    return pf.scale * y_new, pf.scale * z_new, diag
 
-    return IterationState(
-        Y=y_new, Z=z_new,
-        alpha_k=advance_alpha(alpha, p.m, p.ell),
-        k=st.k + 1, diag=diag,
-    )
+
+def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt", *,
+              norm_kind: str = "inf") -> IterationState:
+    """One coupled minimax step of type (p.m, p.ell): the partial-fraction
+    update with coefficients evaluated at the state's alpha_k.
+
+    p fixes the type; once alpha_k has been clamped to 1 the Pade limit
+    coefficients are substituted, so the step becomes pade_step without
+    determinantal scaling. The alt form stores norm(Z_k^{-1}) as a
+    byproduct, the full form the tilde-normalized gap.
+    """
+    if form not in _FORMS:
+        raise ValueError(f"form must be 'full' or 'alt', got {form!r}")
+    alpha = st.alpha_k
+    Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(p.m, p.ell, alpha),
+                            _tilde_factor(alpha), form, st.k, norm_kind)
+    return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, p.m, p.ell),
+                          k=st.k + 1, diag=diag)
 
 
 def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
@@ -281,13 +277,10 @@ def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
 
 def pade_step(st: IterationState, m: int, ell: int,
               det_scaling: bool = False, *, norm_kind: str = "inf") -> IterationState:
-    """One fixed-coefficient comparator step (the alpha -> 1 limit of the
-    minimax update), optionally with determinantal scaling of Y and Z
-    before the update."""
-    pf = pade_partial_fraction(m, ell)
+    """One fixed-coefficient comparator step: the full-form partial-fraction
+    update at alpha = 1 (the Pade limit coefficients), optionally with
+    determinantal scaling of Y and Z before the update."""
     Y, Z = st.Y, st.Z
-    n = Y.shape[0]
-    eye = np.eye(n, dtype=complex)
     if det_scaling:
         FY = lu_factor(Y)
         FZ = lu_factor(Z)
@@ -295,31 +288,11 @@ def pade_step(st: IterationState, m: int, ell: int,
             raise IterationAbortError(
                 f"singular iterate at iteration {st.k + 1} (determinant scaling)"
             )
-        g = _det_scale_factor(FY.det_log, FZ.det_log, n)
-        Y = g * Y
-        Z = g * Z
-    P = matmul(Z, Y)
-    diag = {"zy_gap": norm(P - eye, norm_kind)}
-
-    def shifted_pair(j: int):
-        F = lu_factor(P + pf.shifts[j] * eye)
-        if F.singular:
-            raise IterationAbortError(
-                f"singular shifted system at iteration {st.k + 1}, "
-                f"shift {j + 1} (c = {pf.shifts[j]:.6g})"
-            )
-        return _la.solve(F, Y, side="right"), _la.solve(F, Z, side="left")
-
-    pairs = _map_shifts(shifted_pair, m)
-    sum_y = sum(pf.residues[j] * pairs[j][0] for j in range(m))
-    sum_z = sum(pf.residues[j] * pairs[j][1] for j in range(m))
-    if pf.has_constant_term:
-        sum_y = Y + sum_y
-        sum_z = Z + sum_z
-    return IterationState(
-        Y=pf.scale * sum_y, Z=pf.scale * sum_z,
-        alpha_k=1.0, k=st.k + 1, diag=diag,
-    )
+        g = _det_scale_factor(FY.det_log, FZ.det_log, Y.shape[0])
+        Y, Z = g * Y, g * Z
+    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, "full",
+                            st.k, norm_kind)
+    return IterationState(Y=Y, Z=Z, alpha_k=1.0, k=st.k + 1, diag=diag)
 
 
 def db_step(st: IterationState, det_scaling: bool = False, *,
@@ -360,9 +333,18 @@ def _resolved_delta(opts: IterationOptions, n: int) -> float:
     return _EPS * math.sqrt(n)
 
 
+def _uses_gap(opts: IterationOptions) -> bool:
+    """Acceptance tests the stored Z Y - I gap (full form, Pade), else the change."""
+    return opts.method == "pade" or (opts.method == "zolotarev" and opts.form == "full")
+
+
 def termination_check(st: IterationState, prev: IterationState,
                       opts: IterationOptions, aux: dict) -> str:
     """Decide {continue, accept, stagnate} for the newly produced state.
+
+    The step change norm(Yt_k - Yt_{k-1}) is computed here, once per
+    iteration, and recorded on st: diag["change"] and, relative to
+    norm(Yt_k), prev_change.
 
     Gap-producing steps (full form, pade) are accepted when the stored
     norm of Z_{k-1} Y_{k-1} - I (tilde-normalized) is at or below
@@ -374,25 +356,22 @@ def termination_check(st: IterationState, prev: IterationState,
     requiring the previous change to be small as well keeps the window
     from opening on the very step that first crosses 1e-2, where mid
     phase contraction ratios routinely exceed 1/2 long before the
-    iteration stalls. It needs prev.prev_change (the change at k-1,
-    maintained by sqrtm_drive) and is therefore inactive before k = 2.
+    iteration stalls. It needs prev.prev_change (the change at k-1, set
+    by the check on prev) and is therefore inactive before k = 2.
     aux supplies norm(A^{-1}) and, when an alt-form byproduct exists,
     the raw norm(Z_{k-1}^{-1}).
     """
     kind = opts.norm_kind
-    n = st.Y.shape[0]
-    delta = _resolved_delta(opts, n)
+    delta = _resolved_delta(opts, st.Y.shape[0])
     q = 2 if opts.method == "denman_beavers" else opts.m + opts.ell + 1
-    use_gap = opts.method == "pade" or (
-        opts.method == "zolotarev" and opts.form == "full"
-    )
 
     yt = _tilde_factor(st.alpha_k) * st.Y
-    yt_prev = _tilde_factor(prev.alpha_k) * prev.Y
-    change = norm(yt - yt_prev, kind)
+    change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y, kind)
     size = norm(yt, kind)
+    st.diag["change"] = change
+    st.prev_change = change / size if size > 0.0 else 0.0
 
-    if use_gap:
+    if _uses_gap(opts):
         gap = st.diag.get("zy_gap")
         if gap is not None and gap <= 8.0 * (delta / 4.0) ** (1.0 / q):
             return "accept"
@@ -405,10 +384,9 @@ def termination_check(st: IterationState, prev: IterationState,
             if change <= bound:
                 return "accept"
 
-    if size > 0.0:
-        rel = change / size
-        if prev.prev_change <= 1e-2 and 0.5 * prev.prev_change <= rel <= 1e-2:
-            return "stagnate"
+    rel, rel_prev = st.prev_change, prev.prev_change
+    if size > 0.0 and rel_prev <= 1e-2 and 0.5 * rel_prev <= rel <= 1e-2:
+        return "stagnate"
     return "continue"
 
 
@@ -427,11 +405,8 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     A_scaled, s, alpha = prepare_problem(A, opts)
     sqrt_s = math.sqrt(s)
 
-    use_gap = opts.method == "pade" or (
-        opts.method == "zolotarev" and opts.form == "full"
-    )
     a_inv_norm = None
-    if not use_gap:
+    if not _uses_gap(opts):
         a_inv_norm = norm(inverse(lu_factor(A_scaled)), kind)
 
     if opts.method == "zolotarev":
@@ -457,21 +432,16 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
         else:
             state = db_step(prev, det_scaling=scaling_active, norm_kind=kind)
 
-        yt = _tilde_factor(state.alpha_k) * state.Y
-        change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y, kind)
-        size = norm(yt, kind)
-        state.prev_change = change / size if size > 0.0 else 0.0
+        aux = {"a_inv_norm": a_inv_norm,
+               "z_inv_norm": state.diag.get("z_inv_norm")}
+        decision = termination_check(state, prev, opts, aux)
         alpha_hist.append(state.alpha_k)
-        change_hist.append(change)
+        change_hist.append(state.diag["change"])
         if scaling_active and state.prev_change < 1e-2:
             scaling_active = False
             # The first unscaled step absorbs a one-time renormalization
             # jump, so its change is not comparable to det-scaled ones.
             state.prev_change = math.inf
-
-        aux = {"a_inv_norm": a_inv_norm,
-               "z_inv_norm": state.diag.get("z_inv_norm")}
-        decision = termination_check(state, prev, opts, aux)
         if decision == "accept":
             reason = "criterion_satisfied"
             break

@@ -293,6 +293,16 @@ def test_cmd_sqrtm_missing_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("size", ["inf inf", "nan nan", "1.5 1.5", "-1 -1"])
+def test_cmd_sqrtm_rejects_bad_size_line(tmp_path, capsys, size):
+    src = _write(tmp_path / "a.mtx",
+                 f"%%MatrixMarket matrix array complex general\n{size}\n1 0\n")
+    assert main(["sqrtm", src, "-o", str(tmp_path / "x.mtx")]) == 1
+    err = capsys.readouterr().err
+    assert f"{src}:2: size line" in err and "Traceback" not in err
+    assert not (tmp_path / "x.mtx").exists()
+
+
 # ------------------------------------------------------------------- coeffs
 
 def _coeff_table(capsys):

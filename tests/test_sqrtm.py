@@ -239,6 +239,29 @@ def test_pade_step_aborts_on_singular_iterate():
         pade_step(st, 1, 0, det_scaling=True)
 
 
+@pytest.mark.parametrize("m, ell", [(1, 0), (2, 1), (4, 4), (8, 8)])
+def test_pade_step_is_zolo_step_at_alpha_one(m, ell):
+    # Pade is the alpha = 1 case of the minimax update, bit for bit
+    rng = np.random.default_rng(m + ell)
+    Y = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    Z = np.eye(6) + 0.05 * rng.standard_normal((6, 6))
+    st = _state(Y, Z=Z, alpha=1.0, k=2)
+    got = pade_step(st, m, ell)
+    want = zolo_step(st, ZoloParams(m, ell, 0.5), "full")
+    assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
+    assert got.diag == want.diag
+    assert got.alpha_k == want.alpha_k == 1.0
+
+
+def test_pade_step_aborts_on_singular_shift():
+    from zolosqrt.zolofuncs import pade_partial_fraction
+
+    c = pade_partial_fraction(2, 1).shifts[1]
+    st = _state(-c * np.eye(2), k=3)
+    with pytest.raises(IterationAbortError, match="iteration 4, shift 2"):
+        pade_step(st, 2, 1)
+
+
 # ------------------------------------------------------------------ db_step
 
 def test_db_step_identity_fixed_point():
