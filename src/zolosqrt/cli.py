@@ -25,21 +25,20 @@ from .corpus import (
     bench_cases,
     bench_methods,
     emit_csv,
+    is_hermitian,
     run_suite,
     select_methods,
 )
-from .linalg import SingularMatrixError, dense, norm
+from .linalg import SingularMatrixError, dense
 from .sqrtm import IterationAbortError, IterationOptions, sqrtm_drive
 from .zolofuncs import (
     ZoloParams,
+    _kappa_guard,
     _kappa_values,
     build_partial_fraction,
     pade_partial_fraction,
     phi_of,
-    rho_of,
 )
-
-_EPS = 2.0 ** -53
 
 __all__ = [
     "main",
@@ -261,16 +260,11 @@ def cmd_contour(cfg) -> int:
     log_r = np.linspace(2.0 * math.log10(alpha), 0.0, n_r)
     theta = -math.pi + (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     z = 10.0 ** log_r[:, None] * np.exp(1j * theta[None, :])
-    if cfg.mode == "pade":
-        abs_phi = np.abs(phi_of(z / alpha, 1.0))
-        guard_floor = np.zeros_like(abs_phi)
-    else:
-        abs_phi = np.abs(phi_of(z, alpha))
-        guard_floor = np.full_like(abs_phi, 4.0 * rho_of(alpha) ** (-2 * order))
+    if cfg.mode == "pade":  # the alpha = 1 map, on z scaled by 1/alpha
+        z, alpha = z / alpha, 1.0
+    abs_phi = np.abs(phi_of(z, alpha))
     kappa = _kappa_values(abs_phi, order, 1e-16)
-    with np.errstate(divide="ignore", over="ignore"):
-        guard = np.maximum(2.0 * abs_phi ** (-2.0 * order), guard_floor)
-    outside = int(np.count_nonzero(~(guard < 1.0)))
+    outside = int(np.count_nonzero(~(_kappa_guard(abs_phi, alpha, order) < 1.0)))
     if outside:
         print(f"{outside} grid points outside the estimate's validity region",
               file=sys.stderr)
@@ -291,10 +285,6 @@ def _emit_text(text: str, path: str | None, force: bool) -> None:
             fh.write(text)
 
 
-def _hermitian_flag(A: np.ndarray) -> bool:
-    return norm(A - A.conj().T, "max") <= 8.0 * _EPS * norm(A, "max")
-
-
 def _load_directory_cases(directory: str) -> list[TestCase]:
     cases = []
     for name in sorted(os.listdir(directory)):
@@ -304,7 +294,7 @@ def _load_directory_cases(directory: str) -> list[TestCase]:
             continue
         fmt = "matrixmarket" if ext == ".mtx" else "csv"
         A = read_matrix(os.path.join(directory, name), fmt)
-        cases.append(TestCase(stem, A, hermitian_flag=_hermitian_flag(A)))
+        cases.append(TestCase(stem, A, hermitian_flag=is_hermitian(A)))
     if not cases:
         raise ValueError(f"no .mtx or .csv matrix files found in {directory}")
     return cases

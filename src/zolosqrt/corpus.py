@@ -31,6 +31,7 @@ __all__ = [
     "gen_moler",
     "gen_chebvand",
     "gen_spd_logspectrum",
+    "is_hermitian",
     "reference_sqrt_hermitian",
     "compute_metrics",
     "run_suite",
@@ -149,6 +150,11 @@ def _offdiag_fro(H: np.ndarray) -> float:
     return float(np.linalg.norm(off, "fro"))
 
 
+def is_hermitian(A: DenseMatrix) -> bool:
+    """True when max|A - A^H| is at most 8u max|A| (False on NaN)."""
+    return norm(A - A.conj().T, "max") <= 8.0 * _EPS * norm(A, "max")
+
+
 def reference_sqrt_hermitian(A: DenseMatrix) -> DenseMatrix:
     """Square root of a Hermitian positive definite matrix via a cyclic
     Jacobi eigendecomposition (no library eigensolver).
@@ -159,8 +165,7 @@ def reference_sqrt_hermitian(A: DenseMatrix) -> DenseMatrix:
     """
     A = dense(A)
     n = A.shape[0]
-    scale = norm(A, "max")
-    if norm(A - A.conj().T, "max") > 8.0 * _EPS * scale:
+    if not is_hermitian(A):
         raise ValueError("matrix is not Hermitian")
     H = 0.5 * (A + A.conj().T)
     V = np.eye(n, dtype=complex)

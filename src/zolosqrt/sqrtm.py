@@ -90,6 +90,12 @@ class IterationOptions:
             raise ValueError(f"(m, ell)=({self.m}, {self.ell}) invalid")
         if self.form not in _FORMS:
             raise ValueError(f"form must be 'full' or 'alt', got {self.form!r}")
+        # from the floor that estimates are clamped to, up to the Pade
+        # limit 1; NaN fails the comparison
+        if self.alpha_override is not None and not (
+                _ALPHA_CLAMP[0] <= self.alpha_override <= 1.0):
+            raise ValueError(f"alpha_override={self.alpha_override!r} outside "
+                             f"[{_ALPHA_CLAMP[0]:g}, 1]")
         if self.delta is not None and not (self.delta > 0.0):
             raise ValueError("delta must be positive")
         if self.max_iter < 1:

@@ -131,23 +131,17 @@ def _residues_from_nodes(all_c: np.ndarray, m: int, ell: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=512)
-def _cached_form(m: int, ell: int, alpha: float) -> PartialFractionForm:
-    pair = ModulusPair.from_modulus(alpha)
-    kp_total = agm_K(pair, "complement")  # K(alpha')
-    n1 = m + ell + 1
-    j = np.arange(1, m + ell + 1, dtype=float)
-    sn, cn, dn = jacobi_scd(j * kp_total / n1, pair.swapped)
-    all_c = (alpha * sn / cn) ** 2
+def _form_from_nodes(all_c: np.ndarray, m: int, ell: int,
+                     zeta_min: float) -> PartialFractionForm:
+    """The form of h on the nodes c_1 < ... < c_{m+ell}: residues by the
+    product formula, the odd nodes as shifts, and the scale that makes
+    h(1) = 1 for ell = m, or h(zeta) sqrt(zeta) = 1 at the first minimum
+    zeta = zeta_min for ell = m-1 (zeta_min -> 1 in the Pade limit)."""
     residues = _residues_from_nodes(all_c, m, ell)
     shifts = all_c[0::2]
-    if ell == m - 1:
-        # normalize so h(zeta) * sqrt(zeta) = 1 at the first minimum
-        zeta = (alpha / dn[0]) ** 2
-        scale = 1.0 / (math.sqrt(zeta) * float(np.sum(residues / (zeta + shifts))))
-    else:
-        # normalize so h(1) = 1
-        scale = 1.0 / (1.0 + float(np.sum(residues / (1.0 + shifts))))
+    zeta = 1.0 if ell == m else zeta_min
+    s = float(np.sum(residues / (zeta + shifts)))
+    scale = 1.0 / (math.sqrt(zeta) * (1.0 + s if ell == m else s))
     return PartialFractionForm(
         scale=scale,
         has_constant_term=(ell == m),
@@ -155,6 +149,15 @@ def _cached_form(m: int, ell: int, alpha: float) -> PartialFractionForm:
         shifts=tuple(shifts),
         all_c=tuple(all_c),
     )
+
+
+@lru_cache(maxsize=512)
+def _cached_form(m: int, ell: int, alpha: float) -> PartialFractionForm:
+    pair = ModulusPair.from_modulus(alpha)
+    kp_total = agm_K(pair, "complement")  # K(alpha')
+    j = np.arange(1, m + ell + 1, dtype=float)
+    sn, cn, dn = jacobi_scd(j * kp_total / (m + ell + 1), pair.swapped)
+    return _form_from_nodes((alpha * sn / cn) ** 2, m, ell, (alpha / dn[0]) ** 2)
 
 
 def build_partial_fraction(p: ZoloParams) -> PartialFractionForm:
@@ -172,25 +175,13 @@ def build_partial_fraction(p: ZoloParams) -> PartialFractionForm:
 def pade_partial_fraction(m: int, ell: int) -> PartialFractionForm:
     """The alpha -> 1 limit of build_partial_fraction.
 
-    Nodes become tan^2(j pi / (2(m+ell+1))); the scale normalizes the
-    corresponding rational approximant to take the value 1 at z = 1.
+    Nodes become tan^2(j pi / (2(m+ell+1))) and the first minimum moves
+    to z = 1, so the approximant takes the value 1 at z = 1.
     """
     if ell not in (m - 1, m) or m < 1:
         raise ValueError(f"(m, ell)=({m}, {ell}) invalid: need ell in {{m-1, m}}")
-    n1 = m + ell + 1
     j = np.arange(1, m + ell + 1, dtype=float)
-    all_c = np.tan(j * math.pi / (2 * n1)) ** 2
-    residues = _residues_from_nodes(all_c, m, ell)
-    shifts = all_c[0::2]
-    base = 1.0 if ell == m else 0.0
-    scale = 1.0 / (base + float(np.sum(residues / (1.0 + shifts))))
-    return PartialFractionForm(
-        scale=scale,
-        has_constant_term=(ell == m),
-        residues=tuple(residues),
-        shifts=tuple(shifts),
-        all_c=tuple(all_c),
-    )
+    return _form_from_nodes(np.tan(j * math.pi / (2 * (m + ell + 1))) ** 2, m, ell, 1.0)
 
 
 def eval_h(pf: PartialFractionForm, z):
@@ -330,6 +321,15 @@ def _kappa_values(abs_phi: np.ndarray, order: int, delta: float) -> np.ndarray:
     return out
 
 
+def _kappa_guard(abs_phi, alpha: float, order: int) -> np.ndarray:
+    """max(2|phi|^(-2q), 4 rho(alpha)^(-2q)) for q = order: kappa is backed
+    by its asymptotic regime only where this is below 1. In the Pade limit
+    alpha = 1, rho is infinite and its term drops out."""
+    floor = 4.0 * rho_of(alpha) ** (-2 * order) if alpha < 1.0 else 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.maximum(2.0 * np.asarray(abs_phi) ** (-2.0 * order), floor)
+
+
 def kappa_of(z, alpha: float, p: ZoloParams, delta: float = 1e-16) -> float:
     """Estimated iteration count for probe z: the smallest k with
     4 |phi(z, alpha)|^(-order^k) below delta, i.e.
@@ -337,8 +337,8 @@ def kappa_of(z, alpha: float, p: ZoloParams, delta: float = 1e-16) -> float:
 
     Raises for probes with |phi| <= 1 (no convergence predicted).  When
     the asymptotic regime backing the estimate is not yet reached
-    (max(2|phi|^(-2q), 4 rho^(-2q)) >= 1 for q = order), the value is
-    still returned but a RuntimeWarning reports the violation.
+    (_kappa_guard not below 1), the value is still returned but a
+    RuntimeWarning reports the violation.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta={delta!r} outside (0, 1)")
@@ -348,17 +348,15 @@ def kappa_of(z, alpha: float, p: ZoloParams, delta: float = 1e-16) -> float:
         raise ValueError(
             f"non-convergent probe: |phi(z, alpha)| = {abs_phi} <= 1"
         )
-    q = p.order
-    rho = rho_of(alpha) if alpha < 1.0 else math.inf
-    guard = max(2.0 * abs_phi ** (-2 * q), 4.0 * rho ** (-2 * q))
-    if guard >= 1.0:
+    guard = float(_kappa_guard(abs_phi, alpha, p.order))
+    if not guard < 1.0:
         warnings.warn(
             "kappa estimate outside its validity region "
             f"(guard value {guard:.3g} >= 1); returning the formula value",
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(_kappa_values(np.asarray(abs_phi), q, delta))
+    return float(_kappa_values(np.asarray(abs_phi), p.order, delta))
 
 
 def equioscillation_nodes(p: ZoloParams) -> np.ndarray:

@@ -11,6 +11,7 @@ import scipy.io
 from numpy.testing import assert_allclose
 
 from zolosqrt.cli import main, read_matrix, write_matrix
+from zolosqrt.zolofuncs import ZoloParams, kappa_of
 
 TRICKY = np.array([
     [1e-308 + 0.0j, complex(-0.0, 2.0 ** -1074)],
@@ -303,6 +304,19 @@ def test_cmd_sqrtm_rejects_bad_size_line(tmp_path, capsys, size):
     assert not (tmp_path / "x.mtx").exists()
 
 
+
+@pytest.mark.parametrize("form", ["full", "alt"])
+@pytest.mark.parametrize("alpha", ["1e-300", "10", "inf"])
+def test_cmd_sqrtm_rejects_alpha_out_of_range(tmp_path, capsys, alpha, form):
+    src = str(tmp_path / "a.mtx")
+    write_matrix(np.diag([1e-4, 1.0]), src)
+    code = main(["sqrtm", src, "-o", str(tmp_path / "x.mtx"),
+                 "--alpha", alpha, "--form", form])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "alpha" in err and "Traceback" not in err
+    assert not (tmp_path / "x.mtx").exists()
+
 # ------------------------------------------------------------------- coeffs
 
 def _coeff_table(capsys):
@@ -389,6 +403,39 @@ def test_cmd_contour_validation(capsys):
                  "--grid", "9"]) == 1
     assert "grid" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("m, ell, alpha, grid, mode, count", [
+    (2, 1, 0.1, "37x53", "zolotarev", 148),
+    (1, 0, 0.5, "50x50", "pade", 300),
+    (4, 4, 0.9, "64x90", "zolotarev", 128),
+])
+def test_cmd_contour_outside_count_matches_kappa_of(capsys, m, ell, alpha,
+                                                    grid, mode, count):
+    assert main(["contour", "--m", str(m), "--ell", str(ell),
+                 "--alpha", str(alpha), "--grid", grid, "--mode", mode]) == 0
+    err = capsys.readouterr().err
+    assert err == f"{count} grid points outside the estimate's validity region\n"
+    # the grid of cmd_contour, node by node through kappa_of
+    n_r, n_theta = map(int, grid.split("x"))
+    log_r = np.linspace(2.0 * math.log10(alpha), 0.0, n_r)
+    theta = -math.pi + (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    z = 10.0 ** log_r[:, None] * np.exp(1j * theta[None, :])
+    if mode == "pade":
+        z, phi_alpha = z / alpha, 1.0
+    else:
+        phi_alpha = alpha
+    p = ZoloParams(m, ell, alpha)
+    flagged = 0
+    for zj in z.ravel().tolist():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                kappa_of(zj, phi_alpha, p)
+            except ValueError:
+                caught.append(None)
+        flagged += bool(caught)
+    assert flagged == count
 
 # -------------------------------------------------------------------- bench
 

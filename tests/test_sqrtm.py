@@ -85,6 +85,15 @@ def test_options_reject_bad_tolerances():
         IterationOptions(max_iter=0)
 
 
+def test_options_alpha_override_range():
+    # the estimate's clamp floor and the Pade limit are both accepted
+    assert IterationOptions(alpha_override=1e-12).alpha_override == 1e-12
+    assert IterationOptions(alpha_override=1.0).alpha_override == 1.0
+    for bad in (0.0, 9e-13, 1.0 + 2.0 ** -52, math.inf, math.nan, -0.5):
+        with pytest.raises(ValueError, match="alpha_override"):
+            IterationOptions(alpha_override=bad)
+
+
 # ------------------------------------------------------------- preparation
 
 def test_prepare_scalar_multiple_of_identity():
