@@ -255,6 +255,11 @@ def cmd_contour(cfg) -> int:
     alpha = cfg.alpha
     if not (0.0 < alpha < 1.0):
         raise ValueError("--alpha must lie in (0, 1)")
+    # the grid's inner radius is alpha^2; below the normal range it
+    # underflows to 0 or loses the precision phi_of needs
+    if alpha * alpha < sys.float_info.min:
+        raise ValueError(f"--alpha {alpha!r} is too small: alpha^2 must be a normal "
+                         f"double (alpha >= {math.sqrt(sys.float_info.min):.3g})")
     n_r, n_theta = _parse_grid(cfg.grid)
     order = cfg.m + cfg.ell + 1
     log_r = np.linspace(2.0 * math.log10(alpha), 0.0, n_r)

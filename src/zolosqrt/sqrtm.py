@@ -9,21 +9,30 @@ optional determinantal scaling. Denman-Beavers is the third method.
 States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the
 pair (X_k, Y_k) lives in the same two slots).
 
-Per-step shifted factorizations are independent and run on a thread
-pool when the ZOLO_THREADS environment variable allows; the
-partial-fraction reduction always sums in shift order, so results are
-bitwise reproducible at any thread count.
+A solve holds the OpenBLAS builds of numpy and scipy at one thread.
+From order _POOL_MIN_N up, on two or more usable cores, it runs the
+independent factorizations of a step (the m shifted systems, or the two
+Denman-Beavers inverses) on one process-wide thread pool instead. The
+partial-fraction reduction sums in shift order as results arrive, so the
+bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import ctypes
+import functools
+import glob
 import math
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .linalg import (
     DenseMatrix,
@@ -179,26 +188,138 @@ def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     return A / s, s, alpha
 
 
-def _thread_count() -> int:
-    env = os.environ.get("ZOLO_THREADS")
-    if not env:
-        return 1
+# Below this order the pool's hand-off costs about what running the
+# factorizations side by side saves. Median Z-(8,8) alt and full and DB
+# solves at one BLAS thread, 2-core VM: the pool is 16-45% slower at
+# n = 32, within noise either way at 64, and 15-25% faster from 96 on
+# (ahead in every run from 112 on, also when serial solves come between).
+_POOL_MIN_N = 96
+
+
+def _usable_cores() -> int:
     try:
-        return max(int(env), 1)
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-integer ZOLO_THREADS={env!r}", RuntimeWarning, stacklevel=3
-        )
-        return 1
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
-def _map_shifts(fn, count: int) -> list:
-    """Apply fn to 0..count-1, possibly concurrently; results in index order."""
-    workers = min(_thread_count(), count)
-    if workers <= 1 or count <= 1:
-        return [fn(j) for j in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
+_WORKERS = _usable_cores()
+
+# Process-wide state, rebuilt in a forked child: the pool as
+# (workers, executor), and the one-BLAS-thread hold as its nesting depth
+# and the thread counts found when the outermost hold began.
+_lock = threading.Lock()
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_hold_depth = 0
+_hold_saved: tuple[int, ...] = ()
+
+
+def _reset_after_fork() -> None:
+    # the parent's pool threads and lock holders do not exist in the child
+    global _lock, _pool, _hold_depth
+    _lock = threading.Lock()
+    _pool = None
+    _hold_depth = 0
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) thread-count entry points of the OpenBLAS builds that
+    numpy and scipy load, or None when either cannot be found."""
+    controls = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(pkg.__file__), os.pardir,
+                            f"{pkg.__name__}.libs", "*openblas*")
+        for path in glob.glob(libs):
+            try:
+                lib = ctypes.CDLL(path)
+                get = lib[f"scipy_openblas_get_num_threads{suffix}"]
+                set_ = lib[f"scipy_openblas_set_num_threads{suffix}"]
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+        else:
+            return None
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS at one thread. Holds nest and may overlap
+    across threads; the last to end restores the counts the first found."""
+    global _hold_depth, _hold_saved
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    with _lock:
+        if _hold_depth == 0:
+            _hold_saved = tuple(get() for get, _ in controls)
+            for _, set_ in controls:
+                set_(1)
+        _hold_depth += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _hold_depth -= 1
+            if _hold_depth == 0:
+                for (_, set_), count in zip(controls, _hold_saved):
+                    set_(count)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _lock:
+        if _pool is None or _pool[0] != _WORKERS:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (_WORKERS, ThreadPoolExecutor(max_workers=_WORKERS,
+                                                  thread_name_prefix="zolosqrt"))
+        return _pool[1]
+
+
+def _map_shifts(fn, count: int, n: int):
+    """Yield fn(0), ..., fn(count - 1) in index order.
+
+    For order n >= _POOL_MIN_N, on two or more workers, the calls run
+    under one BLAS thread: fn(0) on the calling thread, which would
+    otherwise only wait, and the rest on the pool, each result handed on
+    as it arrives. Either way the lowest failing index raises, and no
+    call is still running once this generator has finished.
+    """
+    if count < 2 or n < _POOL_MIN_N or _WORKERS < 2 or _blas_thread_controls() is None:
+        for j in range(count):
+            yield fn(j)
+        return
+    with _one_blas_thread():
+        pool = _executor()
+        pending = collections.deque(pool.submit(fn, j) for j in range(1, count))
+        try:
+            yield fn(0)
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+            wait(pending)
+
+
+def _reduce(residues, pairs):
+    """(sum_j residues[j] * a_j, sum_j residues[j] * b_j) over the pairs
+    (a_j, b_j), summed in shift order from 0 as the builtin sum does."""
+    y = z = 0
+    for (a, b), r in zip(pairs, residues, strict=True):
+        y = y + r * a
+        z = z + r * b
+    return y, z
 
 
 def _tilde_factor(alpha: float) -> float:
@@ -214,8 +335,8 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
     recording norm(Z^{-1}). k indexes the state being advanced.
     """
     shifts, residues = pf.shifts, pf.residues
-    m = len(shifts)
-    eye = np.eye(Y.shape[0], dtype=complex)
+    m, n = len(shifts), Y.shape[0]
+    eye = np.eye(n, dtype=complex)
     diag: dict = {}
 
     def factor(M, j: int):
@@ -235,9 +356,7 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
             F = factor(P + shifts[j] * eye, j)
             return _la.solve(F, Y, side="right"), _la.solve(F, Z, side="left")
 
-        pairs = _map_shifts(shifted_pair, m)
-        y_new = sum(residues[j] * pairs[j][0] for j in range(m))
-        z_new = sum(residues[j] * pairs[j][1] for j in range(m))
+        y_new, z_new = _reduce(residues, _map_shifts(shifted_pair, m, n))
     else:
         FZ = lu_factor(Z)
         if FZ.singular:
@@ -249,9 +368,8 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
             F = factor(Y + shifts[j] * W, j)
             return _la.solve(F, Y, side="right"), inverse(F)
 
-        pairs = _map_shifts(shifted_pair, m)
-        y_new = matmul(sum(residues[j] * pairs[j][0] for j in range(m)), W)
-        z_new = sum(residues[j] * pairs[j][1] for j in range(m))
+        y_sum, z_new = _reduce(residues, _map_shifts(shifted_pair, m, n))
+        y_new = matmul(y_sum, W)
     if pf.has_constant_term:
         y_new = Y + y_new
         z_new = Z + z_new
@@ -309,12 +427,14 @@ def db_step(st: IterationState, det_scaling: bool = False, *,
     inverses are reused, so no extra factorization is needed."""
     X, Ydb = st.Y, st.Z
     n = X.shape[0]
-    FX = lu_factor(X)
-    FY = lu_factor(Ydb)
+
+    def factor_and_invert(j: int):
+        F = lu_factor((X, Ydb)[j])
+        return F, None if F.singular else inverse(F)
+
+    (FX, x_inv), (FY, y_inv) = _map_shifts(factor_and_invert, 2, n)
     if FX.singular or FY.singular:
         raise IterationAbortError(f"singular iterate at iteration {st.k + 1}")
-    x_inv = inverse(FX)
-    y_inv = inverse(FY)
     diag = {"z_inv_norm": norm(y_inv, norm_kind)}
     g = _det_scale_factor(FX.det_log, FY.det_log, n) if det_scaling else 1.0
     ginv = 1.0 / g
@@ -396,12 +516,15 @@ def termination_check(st: IterationState, prev: IterationState,
     return "continue"
 
 
+@_one_blas_thread()
 def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     """Compute X ~ A^{1/2} and Xinv ~ A^{-1/2} by the selected iteration.
 
     Returns (X, Xinv, report). The returned pair is tilde-normalized and
     unscaled back to the original A; the relative residual is measured
-    once at exit in opts.norm_kind.
+    once at exit in opts.norm_kind. OpenBLAS runs on one thread for the
+    whole call, and its previous thread counts are restored on return or
+    raise.
     """
     if opts is None:
         opts = IterationOptions()

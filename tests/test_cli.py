@@ -404,6 +404,18 @@ def test_cmd_contour_validation(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, code", [("1e-300", 1), ("1e-155", 1), ("1e-150", 0)])
+def test_cmd_contour_rejects_alpha_with_subnormal_square(capsys, alpha, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["contour", "--m", "8", "--ell", "8", "--alpha", alpha,
+                     "--grid", "3x3"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "alpha" in err
+
+
 
 @pytest.mark.parametrize("m, ell, alpha, grid, mode, count", [
     (2, 1, 0.1, "37x53", "zolotarev", 148),

@@ -1,12 +1,17 @@
 """Coupled-iteration tests: stepping, termination, and the full driver."""
 
 import math
+import multiprocessing
+import queue as queue_module
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from zolosqrt import sqrtm as sqrtm_module
 from zolosqrt.linalg import SingularMatrixError, inverse, lu_factor, norm
 from zolosqrt.sqrtm import (
     ConvergenceReport,
@@ -505,20 +510,134 @@ def test_drive_residual_bound_attainable_case():
     assert rep.residual <= 1e3 * 8 * U * alpha_inf
 
 
+# -------------------------------------------- shift pool and BLAS threads
+
+def _blas_threads():
+    controls = sqrtm_module._blas_thread_controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread-count entry points in this install")
+    return controls
+
+
+# the smallest order whose steps run on the pool
+POOL_N = sqrtm_module._POOL_MIN_N
+
+
 def test_drive_thread_count_reproducibility(monkeypatch):
-    A = _spd(10, 23, shift=5.0)
-    opts = IterationOptions(method="zolotarev", m=4, ell=4, form="full")
-    monkeypatch.delenv("ZOLO_THREADS", raising=False)
-    X1, _, _ = sqrtm_drive(A, opts)
-    monkeypatch.setenv("ZOLO_THREADS", "4")
-    X4, _, _ = sqrtm_drive(A, opts)
-    assert np.array_equal(X1, X4)  # summation order is fixed, so bitwise
+    # the reduction sums in shift order at any worker count, so bitwise
+    A = _spd(POOL_N, 23, shift=POOL_N)
+    for opts in (IterationOptions(), IterationOptions(form="full"),
+                 IterationOptions(method="denman_beavers")):
+        runs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(sqrtm_module, "_WORKERS", workers)
+            runs.append(sqrtm_drive(A, opts))
+        for X, Xinv, rep in runs[1:]:
+            assert np.array_equal(X, runs[0][0])
+            assert np.array_equal(Xinv, runs[0][1])
+            assert rep == runs[0][2]
 
 
-def test_drive_thread_count_garbage_warns(monkeypatch):
-    monkeypatch.setenv("ZOLO_THREADS", "many")
-    with pytest.warns(RuntimeWarning, match="ZOLO_THREADS"):
-        X, _, _ = sqrtm_drive(_spd(4, 1, shift=4.0),
-                              IterationOptions(method="zolotarev", m=2, ell=2,
-                                               form="full"))
-    assert np.all(np.isfinite(X))
+def test_drive_holds_blas_at_one_thread():
+    controls = _blas_threads()
+    before = [get() for get, _ in controls]
+    A = _spd(POOL_N, 29, shift=4.0)
+    try:
+        for _, set_ in controls:
+            set_(1)
+        X1, Xinv1, _ = sqrtm_drive(A)
+        for _, set_ in controls:
+            set_(2)
+        X2, Xinv2, _ = sqrtm_drive(A)
+        assert [get() for get, _ in controls] == [2, 2]
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+    assert np.array_equal(X1, X2) and np.array_equal(Xinv1, Xinv2)
+
+
+def test_pade_step_aborts_on_singular_shift_on_the_pool(monkeypatch):
+    from zolosqrt.zolofuncs import pade_partial_fraction
+
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    c = pade_partial_fraction(2, 1).shifts[1]
+    st = _state(-c * np.eye(POOL_N), k=3)
+    with pytest.raises(IterationAbortError, match="iteration 4, shift 2"):
+        pade_step(st, 2, 1)
+
+
+def test_drive_restores_blas_threads_after_a_raise(monkeypatch):
+    controls = _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    real_inverse = sqrtm_module.inverse
+
+    def inverse_failing_off_the_calling_thread(F):
+        if threading.current_thread() is not threading.main_thread():
+            raise IterationAbortError("injected on a pool worker")
+        return real_inverse(F)
+
+    monkeypatch.setattr(sqrtm_module, "inverse", inverse_failing_off_the_calling_thread)
+    before = [get() for get, _ in controls]
+    with pytest.raises(IterationAbortError, match="injected"):
+        sqrtm_drive(_spd(POOL_N, 31, shift=4.0))
+    assert [get() for get, _ in controls] == before
+
+
+def test_concurrent_drives_restore_blas_threads(monkeypatch):
+    # overlapping holds from more threads than cores: the last to end
+    # must restore what the first found, and each solve keeps its bits
+    controls = _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    mats = [_spd(POOL_N, 40 + i, shift=4.0) for i in range(6)]
+    expected = [sqrtm_drive(A)[0] for A in mats]
+    before = [get() for get, _ in controls]
+    results = [None] * len(mats)
+
+    def solve(i):
+        results[i] = sqrtm_drive(mats[i])[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _, set_ in controls:
+            set_(2)
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(mats))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert [get() for get, _ in controls] == [2, 2]
+    finally:
+        sys.setswitchinterval(interval)
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+    assert all(np.array_equal(r, e) for r, e in zip(results, expected))
+
+
+def _solve_and_report(A, queue):
+    queue.put(sqrtm_drive(A)[2].reason)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_solves_after_the_parent_built_the_pool(monkeypatch):
+    _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    A = _spd(2 * POOL_N, 37, shift=4.0)
+    sqrtm_drive(A)
+    assert sqrtm_module._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_solve_and_report, args=(A, queue))
+    child.start()
+    try:
+        reason = queue.get(timeout=60)
+    except queue_module.Empty:
+        reason = None
+    child.join(timeout=10)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and reason == "criterion_satisfied"
