@@ -20,7 +20,6 @@ from .linalg import (
     matmul,
     norm,
     solve,
-    two_norm_estimate,
 )
 from .zolofuncs import (
     BranchCutError,
@@ -78,7 +77,7 @@ __all__ = [
     "ModulusPair", "agm_K", "carlson_rf", "inv_sn", "jacobi_scd",
     "DenseMatrix", "LUFactors", "SingularMatrixError", "SpectralExtremes",
     "dense", "det_log_magnitude", "extreme_eigen_moduli", "inverse",
-    "lu_factor", "matmul", "norm", "solve", "two_norm_estimate",
+    "lu_factor", "matmul", "norm", "solve",
     "BranchCutError", "PartialFractionForm", "PoleHitError", "ScalarTrace",
     "ZoloParams", "advance_alpha", "alpha_step", "build_partial_fraction",
     "epsilon_of", "equioscillation_nodes", "eval_h", "eval_rhat", "eval_shat",

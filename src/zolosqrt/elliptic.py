@@ -26,6 +26,9 @@ _LANDEN_MAX_DEPTH = 24
 _LANDEN_TINY = 1e-8  # modulus small enough for the circular bottom
 _RF_RTOL = 1e-14
 _RF_MAX_ITER = 64
+# arguments are brought below this so that neither the sums nor the
+# stopping radius of carlson_rf overflow
+_RF_MAX_EXP = 1000
 
 __all__ = [
     "EllipticDivergenceError",
@@ -184,6 +187,15 @@ def jacobi_scd(u, mp: ModulusPair):
     return s, c, d
 
 
+def _ldexp(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """v * 2^e for complex v, exact part by part; unlike a complex
+    product it keeps the sign of a zero part."""
+    out = np.empty_like(v)
+    out.real = np.ldexp(v.real, e)
+    out.imag = np.ldexp(v.imag, e)
+    return out
+
+
 def carlson_rf(x, y, z):
     """Carlson's symmetric integral R_F(x, y, z), principal branch.
 
@@ -191,6 +203,9 @@ def carlson_rf(x, y, z):
     the spread of the arguments by 4 per step until a fifth-order
     series in the residuals meets a 1e-14 tolerance. At most one
     argument may be zero (two or more make the integral diverge).
+    Arguments past 2^1000 in modulus are first scaled down by a power
+    of 4, exactly, through the homogeneity
+    R_F(4^-p x, 4^-p y, 4^-p z) = 2^p R_F(x, y, z).
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -202,6 +217,12 @@ def carlson_rf(x, y, z):
     nzeros = (x == 0).astype(int) + (y == 0).astype(int) + (z == 0).astype(int)
     if np.any(nzeros >= 2):
         raise ValueError("carlson_rf diverges: two or more zero arguments")
+
+    big = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+    p = np.maximum(np.frexp(big)[1] - (_RF_MAX_EXP - 1), 0) // 2
+    scaled = bool(np.any(p))
+    if scaled:
+        x, y, z = (_ldexp(v, -2 * p) for v in (x, y, z))
 
     a0 = (x + y + z) / 3.0
     q = (3.0 * _RF_RTOL) ** (-1.0 / 6.0) * np.maximum(
@@ -235,6 +256,8 @@ def carlson_rf(x, y, z):
         - 3.0 * e2 * e3 / 44.0
     )
     out = series / np.sqrt(a)
+    if scaled:
+        out = _ldexp(out, -p)
     if scalar:
         return complex(out)
     return out

@@ -9,9 +9,8 @@ form, are computed from the factor on access."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zgetrf as _getrf, zgetrs as _getrs
@@ -30,14 +29,11 @@ __all__ = [
     "solve",
     "inverse",
     "norm",
-    "two_norm_estimate",
     "extreme_eigen_moduli",
     "det_log_magnitude",
 ]
 
 DenseMatrix = np.ndarray
-
-NormKind = Literal["one", "inf", "fro", "max"]
 
 
 class SingularMatrixError(ValueError):
@@ -163,40 +159,6 @@ def norm(A: DenseMatrix, kind: str = "inf") -> float:
 def _seed_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
-
-
-def two_norm_estimate(A: DenseMatrix, tol: float = 1e-6) -> float:
-    """Largest singular value via power iteration on A*A.
-
-    Deterministic (fixed start seed). At most 500 iterations; on
-    non-convergence the best estimate is returned with a RuntimeWarning.
-    """
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    if n == 0:
-        return 0.0
-    Ah = A.conj().T
-    v = _seed_vector(n, np.random.default_rng(_POWER_SEED))
-    est = 0.0
-    for _ in range(500):
-        w = A @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        prev, est = est, nw
-        if abs(est - prev) <= tol * est:
-            return est
-        v = Ah @ w
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return est
-        v /= nv
-    warnings.warn(
-        "two_norm_estimate did not converge; returning best estimate",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return est
 
 
 def extreme_eigen_moduli(A: DenseMatrix) -> SpectralExtremes:

@@ -5,7 +5,8 @@ interval parameter alpha from spectral-extreme estimates, and runs one
 of three methods. The minimax iteration (full or alt form) and the Pade
 comparator share one partial-fraction update, Y' = Y h(Z Y), Z' = h(Z Y) Z,
 with h's coefficients taken at alpha_k; Pade is its alpha = 1 case, plus
-optional determinantal scaling. Denman-Beavers is the third method.
+determinantal scaling in its early steps. Denman-Beavers is the third
+method.
 States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the
 pair (X_k, Y_k) lives in the same two slots).
 
@@ -51,7 +52,6 @@ _EPS = 2.0 ** -53
 
 _METHODS = ("zolotarev", "pade", "denman_beavers")
 _FORMS = ("full", "alt")
-_NORM_KINDS = ("one", "inf", "fro", "max")
 
 __all__ = [
     "IterationAbortError",
@@ -76,10 +76,11 @@ class IterationAbortError(RuntimeError):
 class IterationOptions:
     """Method selection and tolerances for sqrtm_drive.
 
-    ``delta`` defaults to u*sqrt(n) when left as None. ``det_scaling``
-    applies to the comparator methods only; None resolves to True for
-    them and False for the minimax method, which scales through its
-    alpha schedule instead.
+    ``delta`` defaults to u*sqrt(n) when left as None. The rest is fixed
+    policy: every norm is the inf-norm; the Pade and Denman-Beavers
+    comparators apply determinantal scaling until the relative change
+    falls below 1e-2; the minimax method never does, since its alpha
+    schedule scales it.
     """
 
     method: str = "zolotarev"
@@ -89,8 +90,6 @@ class IterationOptions:
     form: str = "alt"
     delta: float | None = None
     max_iter: int = 20
-    det_scaling: bool | None = None
-    norm_kind: str = "inf"
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -109,18 +108,6 @@ class IterationOptions:
             raise ValueError("delta must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.norm_kind not in _NORM_KINDS:
-            raise ValueError(f"norm_kind must be one of {_NORM_KINDS}")
-        if self.det_scaling and self.method == "zolotarev":
-            raise ValueError(
-                "det_scaling applies to comparator methods only; the minimax "
-                "iteration is scaled by its alpha schedule"
-            )
-
-    def resolved_det_scaling(self) -> bool:
-        if self.det_scaling is None:
-            return self.method in ("pade", "denman_beavers")
-        return bool(self.det_scaling)
 
 
 @dataclass
@@ -326,7 +313,7 @@ def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
-def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
+def _pf_update(Y, Z, pf, t: float, form: str, k: int):
     """The partial-fraction update Y' = Y h(Z Y), Z' = h(Z Y) Z with
     h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])).
 
@@ -350,7 +337,7 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
 
     if form == "full":
         P = matmul(Z, Y)
-        diag["zy_gap"] = norm(t ** 2 * P - eye, norm_kind)
+        diag["zy_gap"] = norm(t ** 2 * P - eye)
 
         def shifted_pair(j: int):
             F = factor(P + shifts[j] * eye, j)
@@ -362,7 +349,7 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
         if FZ.singular:
             raise IterationAbortError(f"singular Z iterate at iteration {k + 1}")
         W = inverse(FZ)
-        diag["z_inv_norm"] = norm(W, norm_kind)
+        diag["z_inv_norm"] = norm(W)
 
         def shifted_pair(j: int):
             F = factor(Y + shifts[j] * W, j)
@@ -376,8 +363,7 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, norm_kind: str):
     return pf.scale * y_new, pf.scale * z_new, diag
 
 
-def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt", *,
-              norm_kind: str = "inf") -> IterationState:
+def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt") -> IterationState:
     """One coupled minimax step of type (p.m, p.ell): the partial-fraction
     update with coefficients evaluated at the state's alpha_k.
 
@@ -390,7 +376,7 @@ def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt", *,
         raise ValueError(f"form must be 'full' or 'alt', got {form!r}")
     alpha = st.alpha_k
     Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(p.m, p.ell, alpha),
-                            _tilde_factor(alpha), form, st.k, norm_kind)
+                            _tilde_factor(alpha), form, st.k)
     return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, p.m, p.ell),
                           k=st.k + 1, diag=diag)
 
@@ -400,7 +386,7 @@ def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
 
 
 def pade_step(st: IterationState, m: int, ell: int,
-              det_scaling: bool = False, *, norm_kind: str = "inf") -> IterationState:
+              det_scaling: bool = False) -> IterationState:
     """One fixed-coefficient comparator step: the full-form partial-fraction
     update at alpha = 1 (the Pade limit coefficients), optionally with
     determinantal scaling of Y and Z before the update."""
@@ -414,13 +400,11 @@ def pade_step(st: IterationState, m: int, ell: int,
             )
         g = _det_scale_factor(FY.det_log, FZ.det_log, Y.shape[0])
         Y, Z = g * Y, g * Z
-    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, "full",
-                            st.k, norm_kind)
+    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, "full", st.k)
     return IterationState(Y=Y, Z=Z, alpha_k=1.0, k=st.k + 1, diag=diag)
 
 
-def db_step(st: IterationState, det_scaling: bool = False, *,
-            norm_kind: str = "inf") -> IterationState:
+def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
     """One Denman-Beavers step: X' = (X + Y^{-1})/2, Y' = (Y + X^{-1})/2,
     with X in the Y slot and the companion iterate in the Z slot.
     Determinantal scaling rescales the pair before the averaging; the
@@ -435,7 +419,7 @@ def db_step(st: IterationState, det_scaling: bool = False, *,
     (FX, x_inv), (FY, y_inv) = _map_shifts(factor_and_invert, 2, n)
     if FX.singular or FY.singular:
         raise IterationAbortError(f"singular iterate at iteration {st.k + 1}")
-    diag = {"z_inv_norm": norm(y_inv, norm_kind)}
+    diag = {"z_inv_norm": norm(y_inv)}
     g = _det_scale_factor(FX.det_log, FY.det_log, n) if det_scaling else 1.0
     ginv = 1.0 / g
     return IterationState(
@@ -487,13 +471,12 @@ def termination_check(st: IterationState, prev: IterationState,
     aux supplies norm(A^{-1}) and, when an alt-form byproduct exists,
     the raw norm(Z_{k-1}^{-1}).
     """
-    kind = opts.norm_kind
     delta = _resolved_delta(opts, st.Y.shape[0])
     q = 2 if opts.method == "denman_beavers" else opts.m + opts.ell + 1
 
     yt = _tilde_factor(st.alpha_k) * st.Y
-    change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y, kind)
-    size = norm(yt, kind)
+    change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y)
+    size = norm(yt)
     st.diag["change"] = change
     st.prev_change = change / size if size > 0.0 else 0.0
 
@@ -522,7 +505,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
 
     Returns (X, Xinv, report). The returned pair is tilde-normalized and
     unscaled back to the original A; the relative residual is measured
-    once at exit in opts.norm_kind. OpenBLAS runs on one thread for the
+    once at exit in the inf-norm. OpenBLAS runs on one thread for the
     whole call, and its previous thread counts are restored on return or
     raise.
     """
@@ -530,17 +513,16 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
         opts = IterationOptions()
     A = dense(A)
     n = A.shape[0]
-    kind = opts.norm_kind
     A_scaled, s, alpha = prepare_problem(A, opts)
     sqrt_s = math.sqrt(s)
 
     a_inv_norm = None
     if not _uses_gap(opts):
-        a_inv_norm = norm(inverse(lu_factor(A_scaled)), kind)
+        a_inv_norm = norm(inverse(lu_factor(A_scaled)))
 
     if opts.method == "zolotarev":
         p = ZoloParams(opts.m, opts.ell, min(alpha, 1.0 - 1e-15))
-    scaling_active = opts.resolved_det_scaling()
+    scaling_active = opts.method != "zolotarev"
 
     state = IterationState(
         Y=A_scaled.copy(), Z=np.eye(n, dtype=complex),
@@ -554,12 +536,11 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     for _ in range(opts.max_iter):
         prev = state
         if opts.method == "zolotarev":
-            state = zolo_step(prev, p, opts.form, norm_kind=kind)
+            state = zolo_step(prev, p, opts.form)
         elif opts.method == "pade":
-            state = pade_step(prev, opts.m, opts.ell,
-                              det_scaling=scaling_active, norm_kind=kind)
+            state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
         else:
-            state = db_step(prev, det_scaling=scaling_active, norm_kind=kind)
+            state = db_step(prev, det_scaling=scaling_active)
 
         aux = {"a_inv_norm": a_inv_norm,
                "z_inv_norm": state.diag.get("z_inv_norm")}
@@ -581,7 +562,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     y_t, z_t = normalized_iterates(state)
     X = sqrt_s * y_t
     Xinv = z_t / sqrt_s
-    residual = norm(matmul(X, X) - A, kind) / norm(A, kind)
+    residual = norm(matmul(X, X) - A) / norm(A)
     report = ConvergenceReport(
         iterations=state.k,
         reason=reason,

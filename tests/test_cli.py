@@ -416,6 +416,36 @@ def test_cmd_contour_rejects_alpha_with_subnormal_square(capsys, alpha, code):
         assert "alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["2e-154", "5e-154", "8e-154"])
+def test_cmd_contour_near_alpha_floor_has_no_overflow(monkeypatch, capsys, alpha):
+    # the outer ring hands carlson_rf arguments of modulus about alpha^-2,
+    # past the point where its stopping radius overflowed; their R_F must
+    # match scipy's wherever scipy defines it (off the negative real axis)
+    from scipy.special import elliprf
+    from zolosqrt import elliptic
+
+    carlson_rf = elliptic.carlson_rf
+    seen = []
+
+    def recording(*args):
+        seen.append(np.broadcast_arrays(*args))
+        return carlson_rf(*args)
+
+    monkeypatch.setattr(elliptic, "carlson_rf", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["contour", "--m", "8", "--ell", "8", "--alpha", alpha,
+                     "--grid", "3x3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    x, y, z = (np.concatenate([np.ravel(call[i]) for call in seen]) for i in range(3))
+    got, want = carlson_rf(x, y, z), elliprf(x, y, z)
+    assert np.all(np.isfinite(got))
+    huge = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z))) > 2.0 ** 1000
+    defined = np.isfinite(want)
+    assert np.any(huge & defined)
+    assert_allclose(got[defined], want[defined], rtol=1e-13)
+
+
 
 @pytest.mark.parametrize("m, ell, alpha, grid, mode, count", [
     (2, 1, 0.1, "37x53", "zolotarev", 148),

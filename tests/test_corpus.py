@@ -205,6 +205,15 @@ def test_metrics_kappa_sqrt_skipped_for_large_n():
     assert m.kappa2_sqrt == pytest.approx(1.0, rel=1e-6)
 
 
+def test_metrics_kappa2_is_exact():
+    # the 2-norm condition number of the computed root, from LAPACK's
+    # singular values rather than a 1e-6 power estimate
+    tc = gen_rank_one(16)
+    X, _, rep = sqrtm_drive(tc.matrix)
+    m = compute_metrics(tc, X, rep)
+    assert m.kappa2_sqrt == pytest.approx(np.linalg.cond(X), rel=1e-12)
+
+
 def test_metrics_error_tracks_conditioning():
     # computed roots of the seeded SPD family stay within the
     # u * kappa_sqrt envelope of the Jacobi reference

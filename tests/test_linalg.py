@@ -20,7 +20,6 @@ from zolosqrt.linalg import (
     matmul,
     norm,
     solve,
-    two_norm_estimate,
 )
 
 U = 2.0 ** -53
@@ -159,7 +158,7 @@ def test_solve_residual_bound():
     B = _random_complex(n, rng)
     F = lu_factor(A)
     X = solve(F, B)
-    kappa = two_norm_estimate(A) * two_norm_estimate(inverse(F))
+    kappa = np.linalg.cond(A)
     bound = 100 * n * U * kappa * norm(B, "inf")
     assert norm(A @ X - B, "inf") <= bound
 
@@ -208,36 +207,6 @@ def test_norm_values():
 def test_norm_rejects_unknown_kind():
     with pytest.raises(ValueError):
         norm(np.eye(2), "two")
-
-
-def test_two_norm_diagonal():
-    assert two_norm_estimate(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-6)
-
-
-def test_two_norm_rotation():
-    c, s = math.cos(0.7), math.sin(0.7)
-    Q = np.array([[c, -s], [s, c]])
-    assert two_norm_estimate(Q) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_two_norm_rank_one():
-    rng = np.random.default_rng(13)
-    w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    A = np.outer(w, v.conj())
-    want = np.linalg.norm(w) * np.linalg.norm(v)
-    assert two_norm_estimate(A) == pytest.approx(want, rel=1e-9)
-
-
-@pytest.mark.parametrize("n", [5, 37, 100])
-def test_two_norm_diagonal_dimensions(n):
-    rng = np.random.default_rng(n)
-    d = 10.0 ** rng.uniform(-3, 3, size=n)
-    assert two_norm_estimate(np.diag(d)) == pytest.approx(np.max(d), rel=1e-3)
-
-
-def test_two_norm_zero_matrix():
-    assert two_norm_estimate(np.zeros((3, 3))) == 0.0
 
 
 def test_extremes_diagonal():

@@ -54,18 +54,6 @@ def test_options_defaults():
     o = IterationOptions()
     assert o.method == "zolotarev" and (o.m, o.ell) == (8, 8)
     assert o.form == "alt" and o.max_iter == 20
-    assert not o.resolved_det_scaling()
-
-
-def test_options_det_scaling_resolution():
-    assert IterationOptions(method="pade").resolved_det_scaling()
-    assert IterationOptions(method="denman_beavers").resolved_det_scaling()
-    assert not IterationOptions(method="pade", det_scaling=False).resolved_det_scaling()
-
-
-def test_options_reject_det_scaling_with_minimax():
-    with pytest.raises(ValueError):
-        IterationOptions(method="zolotarev", det_scaling=True)
 
 
 def test_options_reject_bad_type():
@@ -77,8 +65,6 @@ def test_options_reject_bad_type():
         IterationOptions(method="newton")
     with pytest.raises(ValueError):
         IterationOptions(form="sideways")
-    with pytest.raises(ValueError):
-        IterationOptions(norm_kind="two")
 
 
 def test_options_reject_bad_tolerances():
@@ -438,6 +424,42 @@ def test_drive_max_iter_reached():
     _, _, rep = sqrtm_drive(np.diag([1e-8, 1.0]), opts)
     assert rep.reason == "max_iter"
     assert rep.iterations == 2
+
+
+def _record_det_scaling(monkeypatch):
+    calls = []
+    for name in ("pade_step", "db_step"):
+        step = getattr(sqrtm_module, name)
+
+        def recording(*args, _step=step, det_scaling=False, **kwargs):
+            calls.append(det_scaling)
+            return _step(*args, det_scaling=det_scaling, **kwargs)
+
+        monkeypatch.setattr(sqrtm_module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("opts", [IterationOptions(method="pade"),
+                                  IterationOptions(method="denman_beavers")],
+                         ids=["P-(8,8)", "DB"])
+def test_drive_det_scales_comparators_until_change_is_small(monkeypatch, opts):
+    # fixed policy: scaling is on from the first step and switches off
+    # for good once the relative change falls below 1e-2
+    from zolosqrt.corpus import gen_moler
+
+    calls = _record_det_scaling(monkeypatch)
+    _, _, rep = sqrtm_drive(gen_moler(16).matrix, opts)
+    assert len(calls) == rep.iterations
+    switch = calls.index(False)
+    assert switch >= 1 and calls[:switch] == [True] * switch
+    assert calls[switch:] == [False] * (len(calls) - switch)
+
+
+def test_drive_minimax_never_det_scales(monkeypatch):
+    calls = _record_det_scaling(monkeypatch)
+    _, _, rep = sqrtm_drive(np.diag(np.logspace(-8, 0, 9)),
+                            IterationOptions(method="zolotarev", m=8, ell=8))
+    assert rep.reason == "criterion_satisfied" and calls == []
 
 
 def test_drive_order_of_convergence():
