@@ -32,6 +32,7 @@ from .corpus import (
 from .linalg import SingularMatrixError, dense
 from .sqrtm import IterationAbortError, IterationOptions, sqrtm_drive
 from .zolofuncs import (
+    _ALPHA_MIN,
     ZoloParams,
     _kappa_guard,
     _kappa_values,
@@ -211,7 +212,7 @@ def cmd_sqrtm(cfg) -> int:
     opts = IterationOptions(
         method=cfg.method, m=cfg.m, ell=cfg.ell,
         alpha_override=cfg.alpha, form=cfg.form,
-        delta=cfg.delta, max_iter=cfg.max_iter,
+        max_iter=cfg.max_iter,
     )
     _check_overwrite(cfg.output, cfg.force)
     inv_path = _inverse_path(cfg.output)
@@ -255,11 +256,9 @@ def cmd_contour(cfg) -> int:
     alpha = cfg.alpha
     if not (0.0 < alpha < 1.0):
         raise ValueError("--alpha must lie in (0, 1)")
-    # the grid's inner radius is alpha^2; below the normal range it
-    # underflows to 0 or loses the precision phi_of needs
-    if alpha * alpha < sys.float_info.min:
+    if alpha < _ALPHA_MIN:
         raise ValueError(f"--alpha {alpha!r} is too small: alpha^2 must be a normal "
-                         f"double (alpha >= {math.sqrt(sys.float_info.min):.3g})")
+                         f"double (alpha >= {_ALPHA_MIN:.3g})")
     n_r, n_theta = _parse_grid(cfg.grid)
     order = cfg.m + cfg.ell + 1
     log_r = np.linspace(2.0 * math.log10(alpha), 0.0, n_r)
@@ -332,8 +331,6 @@ def _build_parser() -> _Parser:
     sq.add_argument("--ell", type=int, default=8)
     sq.add_argument("--alpha", type=float, default=None,
                     help="override the interval parameter")
-    sq.add_argument("--delta", type=float, default=None,
-                    help="termination tolerance (default: u*sqrt(n))")
     sq.add_argument("--max-iter", type=int, default=20)
     sq.add_argument("--form", choices=("full", "alt"), default="alt")
     sq.add_argument("--inverse", action="store_true",

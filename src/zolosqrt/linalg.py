@@ -3,8 +3,8 @@
 Matrices are plain complex128 ndarrays validated by dense(). Pivoted LU
 and its solves call LAPACK zgetrf/zgetrs directly; singularity is a flag
 on the factor object, never an exception or warning, so callers decide
-how hard to fail. Determinants, in overflow-free sign-and-log-magnitude
-form, are computed from the factor on access."""
+how hard to fail. log|det A|, which cannot overflow, is computed from
+the factor on access."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "inverse",
     "norm",
     "extreme_eigen_moduli",
-    "det_log_magnitude",
 ]
 
 DenseMatrix = np.ndarray
@@ -55,12 +54,11 @@ def dense(entries) -> DenseMatrix:
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Combined LU storage with pivots and determinant bookkeeping.
+    """Combined LU storage with pivots.
 
     ``singular`` is set when some pivot magnitude falls below
-    n*u*norm(A, inf); solve/inverse/det refuse flagged factors.
-    ``det_phase`` is the unit-modulus factor with det A =
-    det_phase * exp(det_log); both are computed on access.
+    n*u*norm(A, inf); solve and inverse refuse flagged factors.
+    ``det_log`` is log|det A| (-inf on a zero pivot), computed on access.
     """
 
     lu: np.ndarray
@@ -72,14 +70,6 @@ class LUFactors:
     def det_log(self) -> float:
         absdiag = np.abs(np.diagonal(self.lu))
         return -math.inf if np.any(absdiag == 0.0) else float(np.sum(np.log(absdiag)))
-
-    @property
-    def det_phase(self) -> complex:
-        if self.det_log == -math.inf:
-            return 0.0 + 0.0j
-        diag = np.diagonal(self.lu)
-        swaps = int(np.count_nonzero(self.piv != np.arange(self.n)))
-        return complex((-1.0) ** swaps) * complex(np.prod(diag / np.abs(diag)))
 
 
 class SpectralExtremes(NamedTuple):
@@ -143,10 +133,8 @@ def inverse(F: LUFactors) -> DenseMatrix:
 
 
 def norm(A: DenseMatrix, kind: str = "inf") -> float:
-    """Matrix norm: one (max column sum), inf (max row sum), fro, max."""
+    """Matrix norm: inf (max row sum), fro, max."""
     A = np.asarray(A)
-    if kind == "one":
-        return float(np.max(np.sum(np.abs(A), axis=0))) if A.size else 0.0
     if kind == "inf":
         return float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
     if kind == "fro":
@@ -161,54 +149,36 @@ def _seed_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _power_estimate(apply, v: np.ndarray) -> tuple[float, bool]:
+    """(estimate, converged): power iteration of the map apply from the
+    unit vector v, estimating its dominant eigenvalue modulus by
+    norm(apply(v_k)). Relative tolerance 1e-3, at most 200 iterations."""
+    est = 0.0
+    for _ in range(200):
+        w = apply(v)
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            break
+        prev, est = est, nw
+        if abs(est - prev) <= 1e-3 * est:
+            return est, True
+        v = w / nw
+    return est, False
+
+
 def extreme_eigen_moduli(A: DenseMatrix) -> SpectralExtremes:
     """(|lambda|_min, |lambda|_max) estimates: power iteration for the
     dominant modulus, inverse power iteration through an LU factor for
-    the smallest. Tolerance 1e-3, at most 200 iterations each; results
-    carry convergence flags. Raises for singular A."""
+    the smallest. Results carry convergence flags. Raises for singular A."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    tol = 1e-3
     rng = np.random.default_rng(_POWER_SEED)
-
-    v = _seed_vector(n, rng)
-    hi = 0.0
-    hi_converged = False
-    for _ in range(200):
-        w = A @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        prev, hi = hi, nw
-        if abs(hi - prev) <= tol * hi:
-            hi_converged = True
-            break
-        v = w / nw
-
+    hi, hi_converged = _power_estimate(lambda v: A @ v, _seed_vector(n, rng))
     F = lu_factor(A)
     if F.singular:
         raise SingularMatrixError("extreme_eigen_moduli requires nonsingular A")
-    v = _seed_vector(n, rng)
-    inv_est = 0.0
-    lo_converged = False
-    for _ in range(200):
-        w = _lu_solve(F, v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        prev, inv_est = inv_est, nw
-        if abs(inv_est - prev) <= tol * inv_est:
-            lo_converged = True
-            break
-        v = w / nw
+    inv_est, lo_converged = _power_estimate(lambda v: _lu_solve(F, v),
+                                            _seed_vector(n, rng))
     lo = 1.0 / inv_est if inv_est > 0.0 else math.inf
-
     return SpectralExtremes(lo=lo, hi=hi, lo_converged=lo_converged,
                             hi_converged=hi_converged)
-
-
-def det_log_magnitude(F: LUFactors) -> float:
-    """log|det A| from the factor's pivot magnitudes."""
-    if F.singular:
-        raise SingularMatrixError("determinant of a singular factor")
-    return F.det_log

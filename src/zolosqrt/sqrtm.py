@@ -74,10 +74,10 @@ class IterationAbortError(RuntimeError):
 
 @dataclass
 class IterationOptions:
-    """Method selection and tolerances for sqrtm_drive.
+    """Method selection and iteration limits for sqrtm_drive.
 
-    ``delta`` defaults to u*sqrt(n) when left as None. The rest is fixed
-    policy: every norm is the inf-norm; the Pade and Denman-Beavers
+    The rest is fixed policy: the termination tolerance is delta =
+    u*sqrt(n); every norm is the inf-norm; the Pade and Denman-Beavers
     comparators apply determinantal scaling until the relative change
     falls below 1e-2; the minimax method never does, since its alpha
     schedule scales it.
@@ -88,7 +88,6 @@ class IterationOptions:
     ell: int = 8
     alpha_override: float | None = None
     form: str = "alt"
-    delta: float | None = None
     max_iter: int = 20
 
     def __post_init__(self) -> None:
@@ -104,8 +103,6 @@ class IterationOptions:
                 _ALPHA_CLAMP[0] <= self.alpha_override <= 1.0):
             raise ValueError(f"alpha_override={self.alpha_override!r} outside "
                              f"[{_ALPHA_CLAMP[0]:g}, 1]")
-        if self.delta is not None and not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -437,12 +434,6 @@ def normalized_iterates(st: IterationState):
     return t * st.Y, t * st.Z
 
 
-def _resolved_delta(opts: IterationOptions, n: int) -> float:
-    if opts.delta is not None:
-        return opts.delta
-    return _EPS * math.sqrt(n)
-
-
 def _uses_gap(opts: IterationOptions) -> bool:
     """Acceptance tests the stored Z Y - I gap (full form, Pade), else the change."""
     return opts.method == "pade" or (opts.method == "zolotarev" and opts.form == "full")
@@ -460,18 +451,18 @@ def termination_check(st: IterationState, prev: IterationState,
     norm of Z_{k-1} Y_{k-1} - I (tilde-normalized) is at or below
     8 (delta/4)^(1/q); difference-based steps (alt form, Denman-Beavers)
     when norm(Yt_k - Yt_{k-1}) is at or below
-    (delta norm(Yt_k) / (norm(A^{-1}) norm(Zt_{k-1}^{-1})))^(1/q).
-    Stagnation fires when the relative change fails to halve while both
-    the current and the previous relative change sit at or below 1e-2;
-    requiring the previous change to be small as well keeps the window
-    from opening on the very step that first crosses 1e-2, where mid
-    phase contraction ratios routinely exceed 1/2 long before the
-    iteration stalls. It needs prev.prev_change (the change at k-1, set
+    (delta norm(Yt_k) / (norm(A^{-1}) norm(Zt_{k-1}^{-1})))^(1/q),
+    with delta = u sqrt(n). Stagnation fires when the relative change
+    fails to halve while both the current and the previous relative
+    change sit at or below 1e-2; requiring the previous change to be
+    small as well keeps the window from opening on the very step that
+    first crosses 1e-2, where mid phase contraction ratios routinely
+    exceed 1/2 long before the iteration stalls. It needs prev.prev_change (the change at k-1, set
     by the check on prev) and is therefore inactive before k = 2.
     aux supplies norm(A^{-1}) and, when an alt-form byproduct exists,
     the raw norm(Z_{k-1}^{-1}).
     """
-    delta = _resolved_delta(opts, st.Y.shape[0])
+    delta = _EPS * math.sqrt(st.Y.shape[0])
     q = 2 if opts.method == "denman_beavers" else opts.m + opts.ell + 1
 
     yt = _tilde_factor(st.alpha_k) * st.Y

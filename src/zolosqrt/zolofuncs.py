@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +27,9 @@ import numpy as np
 from .elliptic import ModulusPair, agm_K, inv_sn, jacobi_scd
 
 _EPS = 2.0 ** -53
+# 2^-511, the least alpha with alpha^2 normal; below it the Jacobi nodes
+# (alpha sn/cn)^2 and the contour grid's inner radius alpha^2 underflow
+_ALPHA_MIN = math.sqrt(sys.float_info.min)
 
 __all__ = [
     "PoleHitError",
@@ -60,7 +64,7 @@ class BranchCutError(ValueError):
 @dataclass(frozen=True)
 class ZoloParams:
     """Approximant selector: numerator degree m, denominator degree ell
-    (ell = m-1 or m), and the interval parameter alpha in (0, 1)."""
+    (ell = m-1 or m), and the interval parameter alpha in [2^-511, 1)."""
 
     m: int
     ell: int
@@ -73,6 +77,9 @@ class ZoloParams:
             raise ValueError(f"ell={self.ell!r} not in {{m-1, m}} for m={self.m}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha={self.alpha!r} outside (0, 1)")
+        if self.alpha < _ALPHA_MIN:
+            raise ValueError(f"alpha={self.alpha!r} is too small: alpha^2 must be a "
+                             f"normal double (alpha >= {_ALPHA_MIN:.3g})")
 
     @property
     def order(self) -> int:

@@ -1,6 +1,8 @@
-"""Command-line front-end tests: file formats, subcommands, exit codes."""
+"""Command-line front-end tests: file formats, subcommands, exit codes;
+and the names each module declares."""
 
 import csv
+import importlib
 import io
 import math
 import warnings
@@ -359,6 +361,19 @@ def test_cmd_coeffs_invalid_pair(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, code", [("1e-300", 1), ("1e-200", 1), ("1e-150", 0)])
+def test_cmd_coeffs_rejects_alpha_with_subnormal_square(capsys, alpha, code):
+    # below the floor the Jacobi nodes (alpha sn/cn)^2 underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["coeffs", "--m", "8", "--ell", "8", "--alpha", alpha]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out
+    if code:
+        assert "alpha" in captured.err
+
+
 # ------------------------------------------------------------------ contour
 
 def _contour_rows(capsys):
@@ -531,3 +546,15 @@ def test_usage_errors_exit_one(capsys):
     assert main(["sqrtm"]) == 1
     capsys.readouterr()
     assert main(["frobnicate"]) == 1
+
+
+# ------------------------------------------------------------------ package
+
+@pytest.mark.parametrize("module", ["elliptic", "linalg", "zolofuncs", "sqrtm",
+                                    "corpus", "cli"])
+def test_module_all_names_resolve(module):
+    # each module's __all__ is the only declaration of its public names
+    mod = importlib.import_module(f"zolosqrt.{module}")
+    assert mod.__all__
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
