@@ -82,10 +82,10 @@ class SpectralExtremes(NamedTuple):
 
 
 def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
-    """C = A B for equal-dimension square matrices."""
+    """C = A B for an r x n block of rows A and a square n x n matrix B."""
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.shape != B.shape:
+    if A.ndim != 2 or B.shape != (A.shape[1], A.shape[1]):
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B
 
@@ -106,7 +106,9 @@ def lu_factor(A: DenseMatrix) -> LUFactors:
 
 
 def _lu_solve(F: LUFactors, B: np.ndarray, trans: int = 0) -> np.ndarray:
-    return _getrs(F.lu, F.piv, B, trans=trans)[0] if F.n else np.empty_like(B)
+    # scipy's getrs shifts the pivots it is given to 1-based and back in
+    # place, so threads sharing one factor each pass their own copy
+    return _getrs(F.lu, F.piv.copy(), B, trans=trans)[0] if F.n else np.empty_like(B)
 
 
 def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:

@@ -11,11 +11,16 @@ States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the
 pair (X_k, Y_k) lives in the same two slots).
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
-From order _POOL_MIN_N up, on two or more usable cores, it runs the
-independent factorizations of a step (the m shifted systems, or the two
-Denman-Beavers inverses) on one process-wide thread pool instead. The
-partial-fraction reduction sums in shift order as results arrive, so the
-bits do not depend on the number of workers.
+From order _POOL_MIN_N up, on two or more usable cores, the independent
+BLAS-3 calls of a solve run on one scheduler, whose workers are a
+process-wide thread pool and the calling thread: the m shifted systems
+of a step (or the two solves of a single one), the two factorizations of
+determinantal scaling, the two inverses of a Denman-Beavers step, and
+the halves of every other inverse, by columns, and product, by rows of
+its left operand, since a solve treats each column and a product each
+row on its own. Only the LUs of Z_k and of A stay serial. The
+partial-fraction reduction sums in shift order as results arrive, so
+the bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,12 +177,13 @@ def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     return A / s, s, alpha
 
 
-# Below this order the pool's hand-off costs about what running the
-# factorizations side by side saves. Median Z-(8,8) alt and full and DB
-# solves at one BLAS thread, 2-core VM: the pool is 16-45% slower at
-# n = 32, within noise either way at 64, and 15-25% faster from 96 on
-# (ahead in every run from 112 on, also when serial solves come between).
-_POOL_MIN_N = 96
+# Below this order the scheduler's hand-off costs about what running
+# calls side by side saves. Median solves at one BLAS thread, 2-core VM,
+# pooled against serial (README.md has the table): over the five methods
+# of the benchmark sweep, +22% at n = 32 and -8% at 48, where Z-(1,0),
+# all halves, still loses 23%; from 64 on every method is faster or
+# within noise, and the five together 21% faster.
+_POOL_MIN_N = 64
 
 
 def _usable_cores() -> int:
@@ -259,41 +265,114 @@ def _one_blas_thread():
                     set_(count)
 
 
+def _pooled(n: int) -> bool:
+    """Whether the work of a solve of order n runs on the pool."""
+    return n >= _POOL_MIN_N and _WORKERS >= 2 and _blas_thread_controls() is not None
+
+
 def _executor() -> ThreadPoolExecutor:
+    # the calling thread is the last of the _WORKERS workers
     global _pool
     with _lock:
         if _pool is None or _pool[0] != _WORKERS:
             if _pool is not None:
                 _pool[1].shutdown(wait=False)
-            _pool = (_WORKERS, ThreadPoolExecutor(max_workers=_WORKERS,
+            _pool = (_WORKERS, ThreadPoolExecutor(max_workers=_WORKERS - 1,
                                                   thread_name_prefix="zolosqrt"))
         return _pool[1]
 
 
-def _map_shifts(fn, count: int, n: int):
+def _schedule(fn, count: int, n: int):
     """Yield fn(0), ..., fn(count - 1) in index order.
 
-    For order n >= _POOL_MIN_N, on two or more workers, the calls run
-    under one BLAS thread: fn(0) on the calling thread, which would
-    otherwise only wait, and the rest on the pool, each result handed on
-    as it arrives. Either way the lowest failing index raises, and no
-    call is still running once this generator has finished.
+    When the order n is pooled, the calls run under one BLAS thread on
+    _WORKERS threads: the pool's _WORKERS - 1, which take calls in index
+    order, and the calling thread, which runs the first call no pool
+    thread has started whenever the result it must hand on next is not
+    ready. At most _WORKERS + 1 calls are submitted and not yet handed
+    on, so few results wait in memory. Either way the lowest failing index
+    raises, and no call is still running once this generator has
+    finished.
     """
-    if count < 2 or n < _POOL_MIN_N or _WORKERS < 2 or _blas_thread_controls() is None:
+    if count < 2 or not _pooled(n):
         for j in range(count):
             yield fn(j)
         return
     with _one_blas_thread():
         pool = _executor()
-        pending = collections.deque(pool.submit(fn, j) for j in range(1, count))
+        window = collections.deque()  # futures of calls first, first + 1, ...
+        submitted = 0
         try:
-            yield fn(0)
-            while pending:
-                yield pending.popleft().result()
+            for first in range(count):
+                while submitted < count and len(window) <= _WORKERS:
+                    window.append(pool.submit(fn, submitted))
+                    submitted += 1
+                while not window[0].done() and _run_unstarted(window, fn, first):
+                    pass
+                yield window.popleft().result()
         finally:
-            for future in pending:
+            for future in window:
                 future.cancel()
-            wait(pending)
+            wait(window)
+
+
+def _run_unstarted(window, fn, first: int) -> bool:
+    """Run on the calling thread the first call in window (call first + i
+    at position i) that no pool thread has started, leaving its outcome
+    in its place; False when every call has started."""
+    for i, future in enumerate(window):
+        if future.cancel():
+            done = Future()
+            try:
+                done.set_result(fn(first + i))
+            except Exception as exc:
+                done.set_exception(exc)
+            window[i] = done
+            return True
+    return False
+
+
+def _in_halves(fill, n: int) -> None:
+    """fill(slice(0, n // 2)) and fill(slice(n // 2, n)) on the scheduler."""
+    cuts = (0, n // 2, n)
+    for _ in _schedule(lambda i: fill(slice(cuts[i], cuts[i + 1])), 2, n):
+        pass
+
+
+def _inverse(F) -> DenseMatrix:
+    """inverse(F); when pooled, two solves against the column halves of
+    the identity. getrs solves each column on its own, so the halves give
+    the whole call's bits, and the result keeps its column-major layout,
+    which the row sums of norm read in a fixed order."""
+    n = F.n
+    if F.singular or not _pooled(n):
+        return inverse(F)
+    eye = np.eye(n, dtype=complex)
+    W = np.empty((n, n), dtype=complex, order="F")
+
+    def half(cols):
+        W[:, cols] = _la.solve(F, eye[:, cols])
+
+    _in_halves(half, n)
+    return W
+
+
+def _matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
+    """matmul(A, B); when pooled, two products of the row halves of A.
+    A row of the product depends on that row of A alone, and gemm sums
+    each entry in the same order for any number of rows, so the halves
+    give the whole product's bits (column halves of B did not, at some
+    odd orders)."""
+    n = A.shape[0]
+    if not _pooled(n):
+        return matmul(A, B)
+    C = np.empty((n, B.shape[1]), dtype=complex)
+
+    def half(rows):
+        C[rows] = matmul(A[rows], B)
+
+    _in_halves(half, n)
+    return C
 
 
 def _reduce(residues, pairs):
@@ -310,21 +389,48 @@ def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
-def _pf_update(Y, Z, pf, t: float, form: str, k: int):
+def _pf_update(Y, Z, pf, t: float, form: str, k: int, z_eye: float | None = None):
     """The partial-fraction update Y' = Y h(Z Y), Z' = h(Z Y) Z with
     h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])).
 
     The full form factors Z Y + c_j I and records the gap norm(t^2 Z Y - I)
     with t the tilde factor; the alt form factors Z once and Y + c_j Z^{-1},
     recording norm(Z^{-1}). k indexes the state being advanced.
+
+    z_eye, when given, says Z = z_eye * I exactly, as in the driver's start
+    state: the full form then forms Z Y as z_eye * Y, and the alt form
+    (z_eye = 1) skips the LU and inverse of Z and the product by Z^{-1}.
+    A product by an exact scaled identity changes at most the sign of a
+    zero, so the values are those of the products.
+
+    The m shifted systems are independent and run on the scheduler, one
+    task each; a single system splits into its two solves instead.
     """
     shifts, residues = pf.shifts, pf.residues
     m, n = len(shifts), Y.shape[0]
     eye = np.eye(n, dtype=complex)
     diag: dict = {}
 
-    def factor(M, j: int):
-        F = lu_factor(M)
+    if form == "full":
+        P = _matmul(Z, Y) if z_eye is None else z_eye * Y
+        diag["zy_gap"] = norm(t ** 2 * P - eye)
+        base, addend = P, eye
+
+        def other(F):
+            return _la.solve(F, Z, side="left")
+    else:
+        if z_eye == 1.0:
+            W = eye
+        else:
+            FZ = lu_factor(Z)
+            if FZ.singular:
+                raise IterationAbortError(f"singular Z iterate at iteration {k + 1}")
+            W = _inverse(FZ)
+        diag["z_inv_norm"] = norm(W)
+        base, addend, other = Y, W, inverse
+
+    def factor(j: int):
+        F = lu_factor(base + shifts[j] * addend)
         if F.singular:
             raise IterationAbortError(
                 f"singular shifted system at iteration {k + 1}, "
@@ -332,32 +438,32 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int):
             )
         return F
 
-    if form == "full":
-        P = matmul(Z, Y)
-        diag["zy_gap"] = norm(t ** 2 * P - eye)
+    def right(F):
+        return _la.solve(F, Y, side="right")
 
-        def shifted_pair(j: int):
-            F = factor(P + shifts[j] * eye, j)
-            return _la.solve(F, Y, side="right"), _la.solve(F, Z, side="left")
+    def shifted_pair(j: int):
+        F = factor(j)
+        return right(F), other(F)
 
-        y_new, z_new = _reduce(residues, _map_shifts(shifted_pair, m, n))
+    if m == 1:
+        F = factor(0)
+        pairs = [tuple(_schedule(lambda i: (right, other)[i](F), 2, n))]
     else:
-        FZ = lu_factor(Z)
-        if FZ.singular:
-            raise IterationAbortError(f"singular Z iterate at iteration {k + 1}")
-        W = inverse(FZ)
-        diag["z_inv_norm"] = norm(W)
-
-        def shifted_pair(j: int):
-            F = factor(Y + shifts[j] * W, j)
-            return _la.solve(F, Y, side="right"), inverse(F)
-
-        y_sum, z_new = _reduce(residues, _map_shifts(shifted_pair, m, n))
-        y_new = matmul(y_sum, W)
+        pairs = _schedule(shifted_pair, m, n)
+    y_new, z_new = _reduce(residues, pairs)
+    if form == "alt" and W is not eye:
+        y_new = _matmul(y_new, W)
     if pf.has_constant_term:
         y_new = Y + y_new
         z_new = Z + z_new
     return pf.scale * y_new, pf.scale * z_new, diag
+
+
+def _eye_start(st: IterationState) -> float | None:
+    """1.0 when st is a start state (k = 0) whose Z is exactly I, else None."""
+    if st.k == 0 and np.array_equal(st.Z, np.eye(st.Z.shape[0])):
+        return 1.0
+    return None
 
 
 def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt") -> IterationState:
@@ -373,7 +479,7 @@ def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt") -> Iteration
         raise ValueError(f"form must be 'full' or 'alt', got {form!r}")
     alpha = st.alpha_k
     Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(p.m, p.ell, alpha),
-                            _tilde_factor(alpha), form, st.k)
+                            _tilde_factor(alpha), form, st.k, _eye_start(st))
     return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, p.m, p.ell),
                           k=st.k + 1, diag=diag)
 
@@ -388,16 +494,20 @@ def pade_step(st: IterationState, m: int, ell: int,
     update at alpha = 1 (the Pade limit coefficients), optionally with
     determinantal scaling of Y and Z before the update."""
     Y, Z = st.Y, st.Z
+    z_eye = _eye_start(st)
     if det_scaling:
-        FY = lu_factor(Y)
-        FZ = lu_factor(Z)
+        # the two factorizations are independent tasks
+        FY, FZ = _schedule(lambda j: lu_factor((Y, Z)[j]), 2, Y.shape[0])
         if FY.singular or FZ.singular:
             raise IterationAbortError(
                 f"singular iterate at iteration {st.k + 1} (determinant scaling)"
             )
         g = _det_scale_factor(FY.det_log, FZ.det_log, Y.shape[0])
         Y, Z = g * Y, g * Z
-    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, "full", st.k)
+        if z_eye is not None:
+            z_eye = g
+    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, "full", st.k,
+                            z_eye)
     return IterationState(Y=Y, Z=Z, alpha_k=1.0, k=st.k + 1, diag=diag)
 
 
@@ -413,7 +523,7 @@ def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
         F = lu_factor((X, Ydb)[j])
         return F, None if F.singular else inverse(F)
 
-    (FX, x_inv), (FY, y_inv) = _map_shifts(factor_and_invert, 2, n)
+    (FX, x_inv), (FY, y_inv) = _schedule(factor_and_invert, 2, n)
     if FX.singular or FY.singular:
         raise IterationAbortError(f"singular iterate at iteration {st.k + 1}")
     diag = {"z_inv_norm": norm(y_inv)}
@@ -509,7 +619,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
 
     a_inv_norm = None
     if not _uses_gap(opts):
-        a_inv_norm = norm(inverse(lu_factor(A_scaled)))
+        a_inv_norm = norm(_inverse(lu_factor(A_scaled)))
 
     if opts.method == "zolotarev":
         p = ZoloParams(opts.m, opts.ell, min(alpha, 1.0 - 1e-15))
@@ -553,7 +663,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     y_t, z_t = normalized_iterates(state)
     X = sqrt_s * y_t
     Xinv = z_t / sqrt_s
-    residual = norm(matmul(X, X) - A) / norm(A)
+    residual = norm(_matmul(X, X) - A) / norm(A)
     report = ConvergenceReport(
         iterations=state.k,
         reason=reason,

@@ -6,6 +6,7 @@ import importlib
 import io
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,7 +406,7 @@ def test_cmd_contour_writes_file(tmp_path, capsys):
     out = str(tmp_path / "grid.csv")
     assert main(["contour", "--m", "1", "--ell", "0", "--alpha", "0.5",
                  "--grid", "3x4", "-o", out]) == 0
-    text = open(out, encoding="utf-8").read()
+    text = Path(out).read_text(encoding="utf-8")
     assert text.startswith("log10_abs_z,arg_z,kappa\n")
     assert len(text.strip().split("\n")) == 13
 

@@ -1,7 +1,9 @@
 """Dense kernel tests: factorization, solves, norms, spectral estimates."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -73,6 +75,16 @@ def test_matmul_diagonal():
     A = dense(np.diag([2.0, 3.0]))
     B = dense(np.diag([5.0, 7.0]))
     assert_allclose(matmul(A, B), np.diag([10.0, 21.0]))
+
+
+def test_matmul_row_block_is_those_rows_of_the_product():
+    rng = np.random.default_rng(17)
+    A, B = _random_complex(101, rng), _random_complex(101, rng)
+    whole = matmul(A, B)
+    assert np.array_equal(matmul(A[:50], B), whole[:50])
+    assert np.array_equal(matmul(A[50:], B), whole[50:])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        matmul(A[:50], B[:50])
 
 
 def test_matmul_dimension_mismatch():
@@ -247,6 +259,29 @@ def test_lapack_layer_matches_scipy_bit_for_bit(n):
         solve(F, B, "right"), scipy.linalg.lu_solve((lu, piv), B.T, trans=1).T)
     assert np.array_equal(
         inverse(F), scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex)))
+
+
+def test_threads_sharing_one_factor_solve_as_one_thread_does():
+    # getrs shifts the pivot array it is given in place for the call, so
+    # two threads passing the factor's own pivots corrupted each other's
+    # solves (and the heap)
+    rng = np.random.default_rng(256)
+    A, B = _random_complex(256, rng), _random_complex(256, rng)
+    F = lu_factor(A)
+    piv = F.piv.copy()
+    want_inv, want_right = inverse(F), solve(F, B, side="right")
+    calls = [lambda: inverse(F), lambda: solve(F, B, side="right")] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(20):
+                got = list(pool.map(lambda call: call(), calls, timeout=60))
+                assert all(np.array_equal(g, want_inv) for g in got[::2])
+                assert all(np.array_equal(g, want_right) for g in got[1::2])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(F.piv, piv)
 
 
 def test_lu_exactly_singular_is_a_flag_not_a_warning():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from zolosqrt import linalg as linalg_module
 from zolosqrt import sqrtm as sqrtm_module
 from zolosqrt.linalg import SingularMatrixError, inverse, lu_factor, norm
 from zolosqrt.sqrtm import (
@@ -556,6 +557,90 @@ def test_drive_thread_count_reproducibility(monkeypatch):
             assert rep == runs[0][2]
 
 
+# an odd order above it, so that halves differ in size
+ODD_N = 2 * POOL_N + 1
+
+
+@pytest.mark.parametrize("n", [POOL_N, ODD_N])
+def test_drive_split_paths_reproducible(monkeypatch, n):
+    # Z-(1,0) runs the two solves of its one shifted system side by side,
+    # P-(8,8) the two LUs of determinantal scaling, and every method splits
+    # its other inverses by columns and products by rows: same bits at any
+    # worker count, for symmetric and nonsymmetric input
+    rng = np.random.default_rng(n)
+    mats = (_spd(n, 47, shift=4.0), rng.standard_normal((n, n)) + n * np.eye(n))
+    for A in mats:
+        for opts in (IterationOptions(m=1, ell=0), IterationOptions(method="pade"),
+                     IterationOptions()):
+            runs = []
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(sqrtm_module, "_WORKERS", workers)
+                runs.append(sqrtm_drive(A, opts))
+            for X, Xinv, rep in runs[1:]:
+                assert np.array_equal(X, runs[0][0])
+                assert np.array_equal(Xinv, runs[0][1])
+                assert rep == runs[0][2]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
+    # the calling thread is one of the workers: the pool adds workers - 1
+    _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", workers)
+    lock = threading.Lock()
+    busy, peak, seen = 0, 0, set()
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            nonlocal busy, peak
+            with lock:
+                busy += 1
+                peak = max(peak, busy)
+                seen.add(threading.get_ident())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    busy -= 1
+        return call
+
+    monkeypatch.setattr(sqrtm_module, "lu_factor", counted(sqrtm_module.lu_factor))
+    monkeypatch.setattr(linalg_module, "solve", counted(linalg_module.solve))
+    A = _spd(POOL_N, 53, shift=4.0)
+    for _ in range(5):
+        sqrtm_drive(A)
+    assert len(seen) <= workers
+    assert peak <= workers
+
+
+@pytest.mark.parametrize("step", [
+    lambda st: zolo_step(st, ZoloParams(8, 8, 0.01), "alt"),
+    lambda st: zolo_step(st, ZoloParams(8, 8, 0.01), "full"),
+    lambda st: pade_step(st, 8, 8, det_scaling=True),
+], ids=["zolo-alt", "zolo-full", "pade-det"])
+def test_start_state_skips_identity_work_with_same_values(monkeypatch, step):
+    # a start state (k = 0, Z = I) skips the LU, inverse and products of
+    # its identity Z; a later state with the same Z does them all
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+        return call
+
+    for name in ("lu_factor", "matmul", "inverse"):
+        monkeypatch.setattr(sqrtm_module, name, counted(getattr(sqrtm_module, name)))
+    A = _spd(12, 61, shift=1.0)
+    A /= norm(A, "inf")
+    start = step(_state(A, alpha=0.01, k=0))
+    start_calls = len(calls)
+    later = step(_state(A, alpha=0.01, k=1))
+    assert start_calls < len(calls) - start_calls
+    assert np.array_equal(start.Y, later.Y) and np.array_equal(start.Z, later.Z)
+    assert start.diag == later.diag
+
+
 def test_drive_holds_blas_at_one_thread():
     controls = _blas_threads()
     before = [get() for get, _ in controls]
@@ -588,10 +673,15 @@ def test_drive_restores_blas_threads_after_a_raise(monkeypatch):
     controls = _blas_threads()
     monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
     real_inverse = sqrtm_module.inverse
+    pool_call = threading.Event()
 
     def inverse_failing_off_the_calling_thread(F):
         if threading.current_thread() is not threading.main_thread():
+            pool_call.set()
             raise IterationAbortError("injected on a pool worker")
+        # the calling thread takes any call no pool thread has started, so
+        # hold it until a pool thread has taken one of its own
+        pool_call.wait(timeout=60)
         return real_inverse(F)
 
     monkeypatch.setattr(sqrtm_module, "inverse", inverse_failing_off_the_calling_thread)
