@@ -10,9 +10,10 @@ Hermitian reference square root so no external eigensolver is needed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,14 +56,28 @@ class TestCase:
 
 @dataclass(frozen=True)
 class MetricSet:
-    """Accuracy and conditioning numbers for one computed square root."""
+    """Accuracy and conditioning numbers for one computed square root X
+    of A, both kept for kappa_sqrt."""
 
     alpha_inf: float
-    kappa_sqrt: float | None
     kappa2_sqrt: float
     rel_error: float | None
     rel_residual: float
     iterations: int
+    A: DenseMatrix = field(repr=False, compare=False)
+    X: DenseMatrix = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def kappa_sqrt(self) -> float | None:
+        """norm(A, fro) / (norm(X, fro) sigma_min(K)), with K the n^2 x n^2
+        Kronecker form of the Sylvester operator E -> XE + EX; computed on
+        first read, and only for n <= 32 (None above)."""
+        n = self.X.shape[0]
+        if n > _KAPPA_SQRT_MAX_N:
+            return None
+        X = self.X
+        K = np.kron(np.eye(n, dtype=complex), X) + np.kron(X.T, np.eye(n, dtype=complex))
+        return norm(self.A, "fro") / (norm(X, "fro") * float(np.linalg.norm(K, -2)))
 
 
 @dataclass(frozen=True)
@@ -216,20 +231,12 @@ def compute_metrics(tc: TestCase, X: DenseMatrix,
     """Accuracy/conditioning metrics for a computed root X of tc.matrix.
 
     kappa2_sqrt is the exact 2-norm condition number of X, from its
-    singular values. kappa_sqrt takes the smallest singular value of the
-    Kronecker form of the Sylvester operator E -> XE + EX, an n^2 x n^2
-    matrix, so it is only assembled for n <= 32 (None above).
+    singular values; kappa_sqrt is computed when first read.
     """
     A = tc.matrix
-    n = A.shape[0]
     a_inf = norm(A, "inf")
     x_inf = norm(X, "inf")
     alpha_inf = x_inf ** 2 / a_inf
-
-    kappa_sqrt = None
-    if n <= _KAPPA_SQRT_MAX_N:
-        K = np.kron(np.eye(n, dtype=complex), X) + np.kron(X.T, np.eye(n, dtype=complex))
-        kappa_sqrt = norm(A, "fro") / (norm(X, "fro") * float(np.linalg.norm(K, -2)))
 
     kappa2_sqrt = float(np.linalg.cond(X))
 
@@ -239,11 +246,12 @@ def compute_metrics(tc: TestCase, X: DenseMatrix,
     rel_residual = norm(matmul(X, X) - A, "inf") / a_inf
     return MetricSet(
         alpha_inf=alpha_inf,
-        kappa_sqrt=kappa_sqrt,
         kappa2_sqrt=kappa2_sqrt,
         rel_error=rel_error,
         rel_residual=rel_residual,
         iterations=report.iterations,
+        A=A,
+        X=X,
     )
 
 

@@ -1,10 +1,12 @@
-"""Minimal dense complex linear algebra on numpy/scipy kernels.
+"""Minimal dense linear algebra on numpy/scipy kernels.
 
-Matrices are plain complex128 ndarrays validated by dense(). Pivoted LU
-and its solves call LAPACK zgetrf/zgetrs directly; singularity is a flag
-on the factor object, never an exception or warning, so callers decide
-how hard to fail. log|det A|, which cannot overflow, is computed from
-the factor on access."""
+dense() validates input into plain complex128 ndarrays. Pivoted LU and
+its solves call LAPACK directly, dispatching on dtype: dgetrf/dgetrs
+when every operand is float64, zgetrf/zgetrs otherwise (a real factor
+solving a complex right-hand side is promoted to complex). Singularity
+is a flag on the factor object, never an exception or warning, so
+callers decide how hard to fail. log|det A|, which cannot overflow, is
+computed from the factor on access."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf as _getrf, zgetrs as _getrs
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
 _EPS = 2.0 ** -53
 _POWER_SEED = 0x5EED5EED
@@ -33,6 +35,13 @@ __all__ = [
 ]
 
 DenseMatrix = np.ndarray
+
+_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+def _work_dtype(*arrays) -> np.dtype:
+    """float64 when every operand is a float64 array, else complex128."""
+    return _REAL if all(np.asarray(a).dtype == _REAL for a in arrays) else _COMPLEX
 
 
 class SingularMatrixError(ValueError):
@@ -93,10 +102,11 @@ def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
 def lu_factor(A: DenseMatrix) -> LUFactors:
     """Partial-pivoted LU. Never raises or warns for singular input; the
     returned factor carries a singularity flag instead."""
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=_work_dtype(A))
+    getrf = dgetrf if A.dtype == _REAL else zgetrf
     n = A.shape[0]
     # LAPACK rejects (and prints about) n = 0; empty factors and solves are trivial
-    lu, piv, info = _getrf(A) if n else (A.copy(), np.arange(0, dtype=np.int32), 0)
+    lu, piv, info = getrf(A) if n else (A.copy(), np.arange(0, dtype=np.int32), 0)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf (lu_factor)")
     absdiag = np.abs(np.diagonal(lu))
@@ -106,9 +116,13 @@ def lu_factor(A: DenseMatrix) -> LUFactors:
 
 
 def _lu_solve(F: LUFactors, B: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve with F in the work dtype of F and B; B is already of that dtype."""
+    if not F.n:
+        return np.empty_like(B)
+    getrs = dgetrs if B.dtype == _REAL else zgetrs
     # scipy's getrs shifts the pivots it is given to 1-based and back in
     # place, so threads sharing one factor each pass their own copy
-    return _getrs(F.lu, F.piv.copy(), B, trans=trans)[0] if F.n else np.empty_like(B)
+    return getrs(F.lu.astype(B.dtype, copy=False), F.piv.copy(), B, trans=trans)[0]
 
 
 def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
@@ -119,7 +133,7 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
     """
     if F.singular:
         raise SingularMatrixError("solve with a singular factor")
-    B = np.asarray(B, dtype=complex)
+    B = np.asarray(B, dtype=_work_dtype(F.lu, B))
     if side == "left":
         return _lu_solve(F, B)
     if side == "right":
@@ -131,7 +145,7 @@ def inverse(F: LUFactors) -> DenseMatrix:
     """A^{-1} by solving against the identity."""
     if F.singular:
         raise SingularMatrixError("inverse of a singular factor")
-    return solve(F, np.eye(F.n, dtype=complex), side="left")
+    return solve(F, np.eye(F.n, dtype=F.lu.dtype), side="left")
 
 
 def norm(A: DenseMatrix, kind: str = "inf") -> float:

@@ -261,6 +261,40 @@ def test_lapack_layer_matches_scipy_bit_for_bit(n):
         inverse(F), scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex)))
 
 
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_lapack_layer_matches_scipy_bit_for_bit_in_float64(n):
+    # float64 operands stay on dgetrf/dgetrs, as scipy's wrappers do
+    rng = np.random.default_rng(2000 + n)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    F = lu_factor(A)
+    lu, piv = scipy.linalg.lu_factor(A)
+    assert F.lu.dtype == np.float64
+    assert np.array_equal(F.lu, lu)
+    assert np.array_equal(F.piv, piv)
+    left, right, inv = solve(F, B, "left"), solve(F, B, "right"), inverse(F)
+    assert left.dtype == right.dtype == inv.dtype == np.float64
+    assert np.array_equal(left, scipy.linalg.lu_solve((lu, piv), B))
+    assert np.array_equal(right, scipy.linalg.lu_solve((lu, piv), B.T, trans=1).T)
+    assert np.array_equal(inv, scipy.linalg.lu_solve((lu, piv), np.eye(n)))
+    # validated input stays complex whatever the kernels run in
+    assert dense(A).dtype == np.complex128
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_real_factor_solves_complex_rhs_in_complex(side):
+    rng = np.random.default_rng(33)
+    A = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    B = _random_complex(6, rng)
+    F = lu_factor(A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = solve(F, B, side)
+    assert X.dtype == np.complex128
+    residual = A @ X - B if side == "left" else X @ A - B
+    assert norm(residual) <= 100 * 6 * U * norm(A) * norm(X)
+
+
 def test_threads_sharing_one_factor_solve_as_one_thread_does():
     # getrs shifts the pivot array it is given in place for the call, so
     # two threads passing the factor's own pivots corrupted each other's

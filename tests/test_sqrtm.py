@@ -582,6 +582,73 @@ def test_drive_split_paths_reproducible(monkeypatch, n):
                 assert rep == runs[0][2]
 
 
+def _record_factor_dtypes(monkeypatch):
+    # (the spectrum estimate's, the solver's) factor dtypes, in call order
+    estimate, solver = [], []
+    for module, seen in ((linalg_module, estimate), (sqrtm_module, solver)):
+        def recording(A, _factor=module.lu_factor, _seen=seen):
+            F = _factor(A)
+            _seen.append(F.lu.dtype)
+            return F
+
+        monkeypatch.setattr(module, "lu_factor", recording)
+    return estimate, solver
+
+
+_Z_OPTS = [IterationOptions(), IterationOptions(form="full"), IterationOptions(m=1, ell=0)]
+_Z_IDS = ["Z-alt", "Z-full", "Z-(1,0)"]
+
+
+@pytest.mark.parametrize("n", [12, POOL_N])
+@pytest.mark.parametrize("opts", _Z_OPTS, ids=_Z_IDS)
+def test_drive_minimax_runs_in_float64_on_real_input(monkeypatch, opts, n):
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    estimate, solver = _record_factor_dtypes(monkeypatch)
+    A = _spd(n, 71, shift=1.0)
+    X, Xinv, rep = sqrtm_drive(A, opts)
+    assert estimate and set(estimate) == {np.dtype(np.complex128)}
+    assert solver and set(solver) == {np.dtype(np.float64)}
+    assert X.dtype == Xinv.dtype == np.complex128
+    assert not np.any(X.imag) and not np.any(Xinv.imag)
+    assert rep.reason == "criterion_satisfied"
+    assert norm(X @ Xinv - np.eye(n), "inf") <= 1e-10
+
+
+_COMPARATORS = [IterationOptions(method="pade"), IterationOptions(method="denman_beavers")]
+
+
+@pytest.mark.parametrize("opts, imag", [(o, 0.01) for o in _Z_OPTS + _COMPARATORS]
+                         + [(o, 0.0) for o in _COMPARATORS],
+                         ids=[f"{i}-complex" for i in _Z_IDS + ["P-(8,8)", "DB"]]
+                         + ["P-(8,8)-real", "DB-real"])
+def test_drive_complex_arithmetic_where_minimax_on_real_input_is_not(
+        monkeypatch, opts, imag):
+    # the comparators stay complex on real input, and so does every
+    # method on input with a nonzero imaginary part
+    _, solver = _record_factor_dtypes(monkeypatch)
+    A = _spd(12, 73, shift=1.0) + 1j * imag * _spd(12, 74)
+    X, Xinv, _ = sqrtm_drive(A, opts)
+    assert solver and set(solver) == {np.dtype(np.complex128)}
+    assert X.dtype == Xinv.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [POOL_N, ODD_N])
+def test_drive_complex_input_reproducible(monkeypatch, n):
+    # the minimax method runs in float64 on real input, so the tests above
+    # check it there; the same holds for its complex path
+    rng = np.random.default_rng(n + 1)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + n * np.eye(n)
+    for opts in _Z_OPTS:
+        runs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(sqrtm_module, "_WORKERS", workers)
+            runs.append(sqrtm_drive(A, opts))
+        for X, Xinv, rep in runs[1:]:
+            assert np.array_equal(X, runs[0][0])
+            assert np.array_equal(Xinv, runs[0][1])
+            assert rep == runs[0][2]
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
     # the calling thread is one of the workers: the pool adds workers - 1
