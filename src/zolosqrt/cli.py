@@ -30,9 +30,8 @@ from .corpus import (
     select_methods,
 )
 from .linalg import SingularMatrixError, dense
-from .sqrtm import IterationAbortError, IterationOptions, sqrtm_drive
+from .sqrtm import _FORMS, _METHODS, IterationAbortError, IterationOptions, sqrtm_drive
 from .zolofuncs import (
-    _ALPHA_MIN,
     ZoloParams,
     _kappa_guard,
     _kappa_values,
@@ -253,14 +252,9 @@ def _parse_grid(text: str):
 
 
 def cmd_contour(cfg) -> int:
-    alpha = cfg.alpha
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("--alpha must lie in (0, 1)")
-    if alpha < _ALPHA_MIN:
-        raise ValueError(f"--alpha {alpha!r} is too small: alpha^2 must be a normal "
-                         f"double (alpha >= {_ALPHA_MIN:.3g})")
+    p = ZoloParams(cfg.m, cfg.ell, cfg.alpha)
+    alpha, order = p.alpha, p.order
     n_r, n_theta = _parse_grid(cfg.grid)
-    order = cfg.m + cfg.ell + 1
     log_r = np.linspace(2.0 * math.log10(alpha), 0.0, n_r)
     theta = -math.pi + (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
     z = 10.0 ** log_r[:, None] * np.exp(1j * theta[None, :])
@@ -325,14 +319,14 @@ def _build_parser() -> _Parser:
     sq.add_argument("-o", "--output", required=True, help="output matrix file")
     sq.add_argument("--format", choices=("matrixmarket", "csv"),
                     default="matrixmarket")
-    sq.add_argument("--method", choices=("zolotarev", "pade", "denman_beavers"),
-                    default="zolotarev")
-    sq.add_argument("--m", type=int, default=8)
-    sq.add_argument("--ell", type=int, default=8)
+    defaults = IterationOptions()
+    sq.add_argument("--method", choices=_METHODS, default=defaults.method)
+    sq.add_argument("--m", type=int, default=defaults.m)
+    sq.add_argument("--ell", type=int, default=defaults.ell)
     sq.add_argument("--alpha", type=float, default=None,
-                    help="override the interval parameter")
-    sq.add_argument("--max-iter", type=int, default=20)
-    sq.add_argument("--form", choices=("full", "alt"), default="alt")
+                    help="override the interval parameter (minimax method only)")
+    sq.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    sq.add_argument("--form", choices=_FORMS, default=defaults.form)
     sq.add_argument("--inverse", action="store_true",
                     help="also write the inverse square root")
     sq.add_argument("--force", action="store_true",

@@ -6,12 +6,12 @@ of three methods. The minimax iteration (full or alt form) and the Pade
 comparator share one partial-fraction update, Y' = Y h(Z Y), Z' = h(Z Y) Z,
 with h's coefficients taken at alpha_k; Pade is its alpha = 1 case, plus
 determinantal scaling in its early steps. Denman-Beavers is the third
-method.
-States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the
-pair (X_k, Y_k) lives in the same two slots). On real input the minimax
-iteration runs in float64, since its shifts and residues are real; the
-comparators always run in complex128, and every method returns
-complex128.
+method. Only the minimax method reads alpha; the comparators run and
+report alpha = 1. States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for
+Denman-Beavers the pair (X_k, Y_k) lives in the same two slots). On real
+input every iterate is real, and all but Pade run in float64; Pade stays
+in complex128 for its A1/P-(1,0) cell of acceptance 7b. Every method
+returns complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
@@ -54,7 +54,8 @@ from .linalg import (
     norm,
 )
 from . import linalg as _la
-from .zolofuncs import ZoloParams, advance_alpha, pade_partial_fraction, _form_for
+from .zolofuncs import (ZoloParams, _check_type, _form_for, advance_alpha,
+                        pade_partial_fraction)
 
 _EPS = 2.0 ** -53
 
@@ -84,11 +85,12 @@ class IterationAbortError(RuntimeError):
 class IterationOptions:
     """Method selection and iteration limits for sqrtm_drive.
 
-    The rest is fixed policy: the termination tolerance is delta =
-    u*sqrt(n); every norm is the inf-norm; the Pade and Denman-Beavers
-    comparators apply determinantal scaling until the relative change
-    falls below 1e-2; the minimax method never does, since its alpha
-    schedule scales it.
+    alpha_override replaces the minimax method's estimated alpha; the
+    comparators run at alpha = 1 and reject it. The rest is fixed policy:
+    the termination tolerance is delta = u*sqrt(n); every norm is the
+    inf-norm; the comparators apply determinantal scaling until the
+    relative change falls below 1e-2; the minimax method never does,
+    since its alpha schedule scales it.
     """
 
     method: str = "zolotarev"
@@ -101,10 +103,12 @@ class IterationOptions:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.ell not in (self.m - 1, self.m) or self.m < 1:
-            raise ValueError(f"(m, ell)=({self.m}, {self.ell}) invalid")
+        _check_type(self.m, self.ell)
         if self.form not in _FORMS:
             raise ValueError(f"form must be 'full' or 'alt', got {self.form!r}")
+        if self.alpha_override is not None and self.method != "zolotarev":
+            raise ValueError("alpha_override is for the minimax method only; "
+                             f"{self.method!r} iterates at alpha = 1")
         # from the floor that estimates are clamped to, up to the Pade
         # limit 1; NaN fails the comparison
         if self.alpha_override is not None and not (
@@ -155,17 +159,19 @@ _ALPHA_CLAMP = (1e-12, 1.0 - 1e-8)
 def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     """Scale A to unit estimated spectral radius and pick alpha.
 
-    Returns (A_scaled, s, alpha) with s the |lambda|_max estimate and
-    alpha = clamp(sqrt(lo/hi)) unless opts.alpha_override is given, in
-    which case the override is used verbatim. Estimation non-convergence
-    is downgraded to a warning with the conservative fallback alpha.
+    Returns (A_scaled, s, alpha) with s the |lambda|_max estimate. The
+    comparators get alpha = 1, the value they run at; the minimax method
+    gets opts.alpha_override verbatim, else clamp(sqrt(lo/hi)), or, when
+    the estimates did not converge, a conservative fallback and a warning.
     """
     A = np.asarray(A, dtype=complex)
     ext = extreme_eigen_moduli(A)
     s = ext.hi
     if s <= 0.0:
         raise SingularMatrixError("spectral radius estimate is zero")
-    if opts.alpha_override is not None:
+    if opts.method != "zolotarev":
+        alpha = 1.0
+    elif opts.alpha_override is not None:
         alpha = float(opts.alpha_override)
     elif not (ext.lo_converged and ext.hi_converged):
         warnings.warn(
@@ -572,8 +578,8 @@ def termination_check(st: IterationState, prev: IterationState,
     first crosses 1e-2, where mid phase contraction ratios routinely
     exceed 1/2 long before the iteration stalls. It needs prev.prev_change (the change at k-1, set
     by the check on prev) and is therefore inactive before k = 2.
-    aux supplies norm(A^{-1}) and, when an alt-form byproduct exists,
-    the raw norm(Z_{k-1}^{-1}).
+    aux supplies norm(A^{-1}) as "a_inv_norm"; the raw norm(Z_{k-1}^{-1})
+    is the "z_inv_norm" the step stored in st.diag.
     """
     delta = _EPS * math.sqrt(st.Y.shape[0])
     q = 2 if opts.method == "denman_beavers" else opts.m + opts.ell + 1
@@ -589,7 +595,7 @@ def termination_check(st: IterationState, prev: IterationState,
         if gap is not None and gap <= 8.0 * (delta / 4.0) ** (1.0 / q):
             return "accept"
     else:
-        z_inv = aux.get("z_inv_norm")
+        z_inv = st.diag.get("z_inv_norm")
         a_inv = aux.get("a_inv_norm")
         if z_inv is not None and a_inv is not None:
             zt_inv = z_inv / _tilde_factor(prev.alpha_k)
@@ -610,11 +616,11 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     Returns (X, Xinv, report). The returned pair is tilde-normalized and
     unscaled back to the original A; the relative residual is measured
     once at exit in the inf-norm. The spectrum estimate is complex; when
-    the method is the minimax one and the scaled A is real, the rest of
-    the solve (iterates, norm(A^{-1}), exit residual) runs in float64.
-    Pade and Denman-Beavers stay complex, and X and Xinv are complex128
-    either way. OpenBLAS runs on one thread for the whole call, and its
-    previous thread counts are restored on return or raise.
+    the scaled A is real and the method is not Pade, the rest of the
+    solve (iterates, norm(A^{-1}), exit residual) runs in float64. Pade
+    stays complex, and X and Xinv are complex128 either way. OpenBLAS
+    runs on one thread for the whole call, and its previous thread
+    counts are restored on return or raise.
     """
     if opts is None:
         opts = IterationOptions()
@@ -622,25 +628,20 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     n = A.shape[0]
     A_scaled, s, alpha = prepare_problem(A, opts)
     sqrt_s = math.sqrt(s)
-    # the minimax shifts and residues are real, so on real input every
-    # iterate is real: solve in float64, at a quarter of the flops
-    real = opts.method == "zolotarev" and not np.any(A_scaled.imag)
+    # a quarter of the flops; Pade's A1/P-(1,0) cell of acceptance 7b
+    # reads 1.95 of its bound in float64 and 0.35 in complex
+    real = opts.method != "pade" and not np.any(A_scaled.imag)
     if real:
         A, A_scaled = A.real, A_scaled.real
 
-    a_inv_norm = None
-    if not _uses_gap(opts):
-        a_inv_norm = norm(_inverse(lu_factor(A_scaled)))
+    aux = {"a_inv_norm": None if _uses_gap(opts) else norm(_inverse(lu_factor(A_scaled)))}
 
     if opts.method == "zolotarev":
         p = ZoloParams(opts.m, opts.ell, min(alpha, 1.0 - 1e-15))
     scaling_active = opts.method != "zolotarev"
 
-    state = IterationState(
-        Y=A_scaled.copy(), Z=np.eye(n, dtype=A_scaled.dtype),
-        alpha_k=alpha if opts.method == "zolotarev" else 1.0,
-        k=0,
-    )
+    state = IterationState(Y=A_scaled.copy(), Z=np.eye(n, dtype=A_scaled.dtype),
+                           alpha_k=alpha, k=0)
     alpha_hist: list[float] = []
     change_hist: list[float] = []
     reason = "max_iter"
@@ -653,9 +654,6 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
             state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
         else:
             state = db_step(prev, det_scaling=scaling_active)
-
-        aux = {"a_inv_norm": a_inv_norm,
-               "z_inv_norm": state.diag.get("z_inv_norm")}
         decision = termination_check(state, prev, opts, aux)
         alpha_hist.append(state.alpha_k)
         change_hist.append(state.diag["change"])

@@ -61,6 +61,14 @@ class BranchCutError(ValueError):
     """Argument on the branch cut (-inf, 0] of the principal square root."""
 
 
+def _check_type(m: int, ell: int) -> None:
+    """Raise unless m is a positive integer and ell is m - 1 or m."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m={m!r} must be a positive integer")
+    if ell not in (m - 1, m):
+        raise ValueError(f"ell={ell!r} not in {{m-1, m}} for m={m}")
+
+
 @dataclass(frozen=True)
 class ZoloParams:
     """Approximant selector: numerator degree m, denominator degree ell
@@ -71,10 +79,7 @@ class ZoloParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m={self.m!r} must be a positive integer")
-        if self.ell not in (self.m - 1, self.m):
-            raise ValueError(f"ell={self.ell!r} not in {{m-1, m}} for m={self.m}")
+        _check_type(self.m, self.ell)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha={self.alpha!r} outside (0, 1)")
         if self.alpha < _ALPHA_MIN:
@@ -185,8 +190,7 @@ def pade_partial_fraction(m: int, ell: int) -> PartialFractionForm:
     Nodes become tan^2(j pi / (2(m+ell+1))) and the first minimum moves
     to z = 1, so the approximant takes the value 1 at z = 1.
     """
-    if ell not in (m - 1, m) or m < 1:
-        raise ValueError(f"(m, ell)=({m}, {ell}) invalid: need ell in {{m-1, m}}")
+    _check_type(m, ell)
     j = np.arange(1, m + ell + 1, dtype=float)
     return _form_from_nodes(np.tan(j * math.pi / (2 * (m + ell + 1))) ** 2, m, ell, 1.0)
 

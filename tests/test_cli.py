@@ -320,6 +320,19 @@ def test_cmd_sqrtm_rejects_alpha_out_of_range(tmp_path, capsys, alpha, form):
     assert "alpha" in err and "Traceback" not in err
     assert not (tmp_path / "x.mtx").exists()
 
+
+@pytest.mark.parametrize("method", ["pade", "denman_beavers"])
+def test_cmd_sqrtm_rejects_alpha_for_comparators(tmp_path, capsys, method):
+    # --alpha overrides the minimax method's alpha; the comparators iterate at 1
+    src = str(tmp_path / "a.mtx")
+    write_matrix(np.diag([1e-4, 1.0]), src)
+    code = main(["sqrtm", src, "-o", str(tmp_path / "x.mtx"),
+                 "--method", method, "--alpha", "0.5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "alpha_override" in err and "Traceback" not in err
+    assert not (tmp_path / "x.mtx").exists()
+
 # ------------------------------------------------------------------- coeffs
 
 def _coeff_table(capsys):
@@ -418,6 +431,17 @@ def test_cmd_contour_validation(capsys):
     assert main(["contour", "--m", "1", "--ell", "0", "--alpha", "0.5",
                  "--grid", "9"]) == 1
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["zolotarev", "pade"])
+@pytest.mark.parametrize("m, ell, named", [("3", "0", "ell=0"), ("0", "-1", "m=0")])
+def test_cmd_contour_rejects_invalid_type(capsys, mode, m, ell, named):
+    # no type (3, 0) or (0, -1) exists, as for coeffs
+    assert main(["contour", "--m", m, "--ell", ell, "--alpha", "0.5",
+                 "--grid", "3x3", "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("alpha, code", [("1e-300", 1), ("1e-155", 1), ("1e-150", 0)])
