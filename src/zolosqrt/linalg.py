@@ -6,7 +6,8 @@ when every operand is float64, zgetrf/zgetrs otherwise (a real factor
 solving a complex right-hand side is promoted to complex). Singularity
 is a flag on the factor object, never an exception or warning, so
 callers decide how hard to fail. log|det A|, which cannot overflow, is
-computed from the factor on access."""
+computed from the factor on access. Spectra: a power-iteration estimate
+of |lambda|_max, and the exact extreme moduli from LAPACK's eigenvalues."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "solve",
     "inverse",
     "norm",
+    "spectral_radius_estimate",
     "extreme_eigen_moduli",
 ]
 
@@ -82,12 +84,10 @@ class LUFactors:
 
 
 class SpectralExtremes(NamedTuple):
-    """Estimates of the extreme eigenvalue moduli with convergence flags."""
+    """The extreme eigenvalue moduli |lambda|_min and |lambda|_max."""
 
     lo: float
     hi: float
-    lo_converged: bool
-    hi_converged: bool
 
 
 def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
@@ -160,41 +160,37 @@ def norm(A: DenseMatrix, kind: str = "inf") -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _seed_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def _power_estimate(apply, v: np.ndarray) -> tuple[float, bool]:
-    """(estimate, converged): power iteration of the map apply from the
-    unit vector v, estimating its dominant eigenvalue modulus by
-    norm(apply(v_k)). Relative tolerance 1e-3, at most 200 iterations."""
+def spectral_radius_estimate(A: DenseMatrix) -> float:
+    """|lambda|_max estimate: complex power iteration from a seeded unit
+    vector v, estimating by norm(A v_k). Relative tolerance 1e-3, at most
+    200 iterations; whatever it reached is returned."""
+    A = np.asarray(A, dtype=complex)
+    rng = np.random.default_rng(_POWER_SEED)
+    v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    v = v / np.linalg.norm(v)
     est = 0.0
     for _ in range(200):
-        w = apply(v)
+        w = A @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             break
         prev, est = est, nw
         if abs(est - prev) <= 1e-3 * est:
-            return est, True
+            break
         v = w / nw
-    return est, False
+    return est
 
 
 def extreme_eigen_moduli(A: DenseMatrix) -> SpectralExtremes:
-    """(|lambda|_min, |lambda|_max) estimates: power iteration for the
-    dominant modulus, inverse power iteration through an LU factor for
-    the smallest. Results carry convergence flags. Raises for singular A."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    rng = np.random.default_rng(_POWER_SEED)
-    hi, hi_converged = _power_estimate(lambda v: A @ v, _seed_vector(n, rng))
-    F = lu_factor(A)
-    if F.singular:
+    """Exact (|lambda|_min, |lambda|_max): eigvalsh when A is exactly
+    Hermitian (it reads one triangle), else eigvals, on the real part of
+    real A. Raises when |lambda|_min <= n*u*norm(A, inf), lu_factor's flag."""
+    A = np.asarray(A)
+    if not np.any(A.imag):
+        A = A.real
+    eig = np.linalg.eigvalsh if np.array_equal(A, A.conj().T) else np.linalg.eigvals
+    moduli = np.abs(eig(A))
+    lo, hi = float(np.min(moduli)), float(np.max(moduli))
+    if lo <= A.shape[0] * _EPS * norm(A):
         raise SingularMatrixError("extreme_eigen_moduli requires nonsingular A")
-    inv_est, lo_converged = _power_estimate(lambda v: _lu_solve(F, v),
-                                            _seed_vector(n, rng))
-    lo = 1.0 / inv_est if inv_est > 0.0 else math.inf
-    return SpectralExtremes(lo=lo, hi=hi, lo_converged=lo_converged,
-                            hi_converged=hi_converged)
+    return SpectralExtremes(lo=lo, hi=hi)

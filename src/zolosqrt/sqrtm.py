@@ -1,12 +1,13 @@
 """Coupled iterations for the principal matrix square root.
 
-The driver scales the problem to unit spectral radius, picks the
-interval parameter alpha from spectral-extreme estimates, and runs one
-of three methods. The minimax iteration (full or alt form) and the Pade
-comparator share one partial-fraction update, Y' = Y h(Z Y), Z' = h(Z Y) Z,
-with h's coefficients taken at alpha_k; Pade is its alpha = 1 case, plus
-determinantal scaling in its early steps. Denman-Beavers is the third
-method. Only the minimax method reads alpha; the comparators run and
+The driver scales A by a power-iteration estimate of its spectral
+radius, factors the scaled A once (singularity check and norm(A^{-1})),
+and runs one of three methods. The minimax iteration (full or alt form)
+and the Pade comparator share one partial-fraction update,
+Y' = Y h(Z Y), Z' = h(Z Y) Z, with h's coefficients taken at alpha_k;
+Pade is its alpha = 1 case, plus determinantal scaling in its early
+steps. Denman-Beavers is the third method. Only the minimax method reads
+alpha, from the exact extreme eigenvalue moduli; the comparators run and
 report alpha = 1. States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for
 Denman-Beavers the pair (X_k, Y_k) lives in the same two slots). On real
 input every iterate is real, and all but Pade run in float64; Pade stays
@@ -36,7 +37,6 @@ import glob
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -52,6 +52,7 @@ from .linalg import (
     lu_factor,
     matmul,
     norm,
+    spectral_radius_estimate,
 )
 from . import linalg as _la
 from .zolofuncs import (ZoloParams, _check_type, _form_for, advance_alpha,
@@ -85,7 +86,7 @@ class IterationAbortError(RuntimeError):
 class IterationOptions:
     """Method selection and iteration limits for sqrtm_drive.
 
-    alpha_override replaces the minimax method's estimated alpha; the
+    alpha_override replaces the minimax method's computed alpha; the
     comparators run at alpha = 1 and reject it. The rest is fixed policy:
     the termination tolerance is delta = u*sqrt(n); every norm is the
     inf-norm; the comparators apply determinantal scaling until the
@@ -109,7 +110,7 @@ class IterationOptions:
         if self.alpha_override is not None and self.method != "zolotarev":
             raise ValueError("alpha_override is for the minimax method only; "
                              f"{self.method!r} iterates at alpha = 1")
-        # from the floor that estimates are clamped to, up to the Pade
+        # from the floor that computed alphas are clamped to, up to the Pade
         # limit 1; NaN fails the comparison
         if self.alpha_override is not None and not (
                 _ALPHA_CLAMP[0] <= self.alpha_override <= 1.0):
@@ -152,36 +153,29 @@ class ConvergenceReport:
     alpha: float
 
 
-_ALPHA_FALLBACK = 1e-8
 _ALPHA_CLAMP = (1e-12, 1.0 - 1e-8)
 
 
 def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     """Scale A to unit estimated spectral radius and pick alpha.
 
-    Returns (A_scaled, s, alpha) with s the |lambda|_max estimate. The
-    comparators get alpha = 1, the value they run at; the minimax method
-    gets opts.alpha_override verbatim, else clamp(sqrt(lo/hi)), or, when
-    the estimates did not converge, a conservative fallback and a warning.
+    Returns (A_scaled, s, alpha) with s the power-iteration estimate of
+    |lambda|_max. The comparators get alpha = 1, the value they run at;
+    the minimax method gets opts.alpha_override verbatim, else
+    clamp(sqrt(|lambda|_min / |lambda|_max)) from the eigenvalues. A
+    singular A raises here when s or |lambda|_min shows it, else in the
+    driver, which checks its factor of A_scaled.
     """
     A = np.asarray(A, dtype=complex)
-    ext = extreme_eigen_moduli(A)
-    s = ext.hi
+    s = spectral_radius_estimate(A)
     if s <= 0.0:
         raise SingularMatrixError("spectral radius estimate is zero")
     if opts.method != "zolotarev":
         alpha = 1.0
     elif opts.alpha_override is not None:
         alpha = float(opts.alpha_override)
-    elif not (ext.lo_converged and ext.hi_converged):
-        warnings.warn(
-            "extreme-eigenvalue estimation did not converge; "
-            f"falling back to alpha = {_ALPHA_FALLBACK:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        alpha = _ALPHA_FALLBACK
     else:
+        ext = extreme_eigen_moduli(A)
         alpha = min(max(math.sqrt(ext.lo / ext.hi), _ALPHA_CLAMP[0]), _ALPHA_CLAMP[1])
     return A / s, s, alpha
 
@@ -615,12 +609,12 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
 
     Returns (X, Xinv, report). The returned pair is tilde-normalized and
     unscaled back to the original A; the relative residual is measured
-    once at exit in the inf-norm. The spectrum estimate is complex; when
-    the scaled A is real and the method is not Pade, the rest of the
-    solve (iterates, norm(A^{-1}), exit residual) runs in float64. Pade
-    stays complex, and X and Xinv are complex128 either way. OpenBLAS
-    runs on one thread for the whole call, and its previous thread
-    counts are restored on return or raise.
+    once at exit in the inf-norm. When the scaled A is real and the
+    method is not Pade, all from the factor of the scaled A on (the
+    singularity check, norm(A^{-1}), iterates, exit residual) runs in
+    float64. Pade stays complex; X and Xinv are complex128 either way.
+    OpenBLAS runs on one thread for the whole call, and its previous
+    thread counts are restored on return or raise.
     """
     if opts is None:
         opts = IterationOptions()
@@ -633,8 +627,11 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     real = opts.method != "pade" and not np.any(A_scaled.imag)
     if real:
         A, A_scaled = A.real, A_scaled.real
+    FA = lu_factor(A_scaled)
+    if FA.singular:
+        raise SingularMatrixError("sqrtm_drive requires nonsingular A")
 
-    aux = {"a_inv_norm": None if _uses_gap(opts) else norm(_inverse(lu_factor(A_scaled)))}
+    aux = {"a_inv_norm": None if _uses_gap(opts) else norm(_inverse(FA))}
 
     if opts.method == "zolotarev":
         p = ZoloParams(opts.m, opts.ell, min(alpha, 1.0 - 1e-15))

@@ -21,6 +21,7 @@ from zolosqrt.linalg import (
     matmul,
     norm,
     solve,
+    spectral_radius_estimate,
 )
 
 U = 2.0 ** -53
@@ -212,7 +213,6 @@ def test_extremes_diagonal():
     ex = extreme_eigen_moduli(np.diag([1e-4, 1.0]))
     assert ex.lo == pytest.approx(1e-4, rel=1e-3)
     assert ex.hi == pytest.approx(1.0, rel=1e-3)
-    assert ex.lo_converged and ex.hi_converged
 
 
 def test_extremes_identity():
@@ -230,6 +230,49 @@ def test_extremes_diag_4_9():
 def test_extremes_reject_singular():
     with pytest.raises(SingularMatrixError):
         extreme_eigen_moduli(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def _eigen_cases():
+    # (A, the LAPACK driver it takes, the dtype that driver sees)
+    rng = np.random.default_rng(41)
+    M = rng.standard_normal((12, 12))
+    C = _random_complex(12, rng)
+    sym = M @ M.T + np.eye(12)
+    near = sym.copy()
+    near[0, 1] = np.nextafter(near[0, 1], np.inf)  # Hermitian only to rounding
+    real, cplx = np.dtype(float), np.dtype(complex)
+    return {
+        "real-symmetric": (sym, "eigvalsh", real),
+        "complex-hermitian": (C @ C.conj().T + np.eye(12), "eigvalsh", cplx),
+        "real-hermitian-to-rounding": (near, "eigvals", real),
+        "real-nonnormal": (M + 4.0 * np.eye(12), "eigvals", real),
+        "real-stored-as-complex": ((M + 4.0 * np.eye(12)).astype(complex), "eigvals", real),
+        "complex-nonnormal": (C + 4.0 * np.eye(12), "eigvals", cplx),
+    }
+
+
+@pytest.mark.parametrize("case", list(_eigen_cases()))
+def test_extremes_choose_the_lapack_solver(monkeypatch, case):
+    # eigvalsh reads one triangle, so only exactly Hermitian input takes it
+    A, solver, dtype = _eigen_cases()[case]
+    called = []
+    for name in ("eigvalsh", "eigvals"):
+        def recording(M, _eig=getattr(np.linalg, name), _name=name):
+            called.append((_name, M.dtype))
+            return _eig(M)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    ex = extreme_eigen_moduli(A)
+    monkeypatch.undo()
+    assert called == [(solver, dtype)]
+    moduli = np.abs(np.linalg.eigvals(A))
+    assert ex.lo == pytest.approx(moduli.min(), rel=1e-12)
+    assert ex.hi == pytest.approx(moduli.max(), rel=1e-12)
+
+
+def test_spectral_radius_estimate():
+    assert spectral_radius_estimate(np.diag([4.0, 9.0])) == pytest.approx(9.0, rel=1e-3)
+    assert spectral_radius_estimate(np.zeros((3, 3))) == 0.0
 
 
 def test_det_log_identity():

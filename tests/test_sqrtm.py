@@ -116,12 +116,31 @@ def test_prepare_rejects_singular():
         prepare_problem(np.zeros((2, 2)), IterationOptions())
 
 
-def test_prepare_warns_on_estimation_failure():
-    # dominant complex pair: the power-iteration norm estimates oscillate
-    A = np.array([[1.0, 4.0], [-1.0, 1.0]])
-    with pytest.warns(RuntimeWarning, match="falling back"):
+def _complex_extremes_32():
+    # S B S^-1 with B of 2x2 rotation-scaling blocks: every eigenvalue,
+    # the extreme ones too, is one of a complex pair
+    rng = np.random.default_rng(1)
+    blocks = [r * np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+              for r, t in zip(np.geomspace(1e-4, 1.0, 16), rng.uniform(0.3, 1.2, 16))]
+    B = np.zeros((32, 32))
+    for i, b in enumerate(blocks):
+        B[2 * i:2 * i + 2, 2 * i:2 * i + 2] = b
+    S = rng.standard_normal((32, 32)) + 6.0 * np.eye(32)
+    return S @ B @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("A", [np.array([[1.0, 4.0], [-1.0, 1.0]]), _complex_extremes_32()],
+                         ids=["2x2-complex-pair", "nonnormal-32"])
+def test_prepare_alpha_is_exact_for_complex_extreme_pairs(A):
+    # a power iteration misses its tolerance on these; the eigenvalues
+    # give alpha exactly, with no warning
+    moduli = np.abs(np.linalg.eigvals(A))
+    assert np.any(np.linalg.eigvals(A)[np.argmax(moduli)].imag)
+    want = min(max(math.sqrt(moduli.min() / moduli.max()), 1e-12), 1.0 - 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, _, alpha = prepare_problem(A, IterationOptions())
-    assert alpha == 1e-8
+    assert alpha == want
 
 
 @pytest.mark.parametrize("method", ["pade", "denman_beavers"])
@@ -464,6 +483,52 @@ def test_drive_alt_form_accepts_only_at_its_residual_bound(capsys):
     assert rep.reason != "criterion_satisfied" or rep.residual <= bound
 
 
+_CHECKED = [IterationOptions(), IterationOptions(form="full"),
+            IterationOptions(method="pade"), IterationOptions(method="denman_beavers")]
+_CHECKED_IDS = ["Z-alt", "Z-full", "P-(8,8)", "DB"]
+
+
+@pytest.mark.parametrize("A", [np.ones((2, 2)), np.zeros((2, 2))], ids=["rank-one", "zero"])
+@pytest.mark.parametrize("opts", _CHECKED, ids=_CHECKED_IDS)
+def test_drive_rejects_singular_input(opts, A):
+    with pytest.raises(SingularMatrixError):
+        sqrtm_drive(A, opts)
+
+
+@pytest.mark.parametrize("opts", _CHECKED, ids=_CHECKED_IDS)
+def test_drive_factors_scaled_input_once_before_the_first_step(monkeypatch, opts):
+    # one factor serves the singularity check and norm(A^{-1})
+    events = []
+
+    def factor(M, _lu=sqrtm_module.lu_factor):
+        events.append(M.copy())
+        return _lu(M)
+
+    monkeypatch.setattr(sqrtm_module, "lu_factor", factor)
+    for name in ("zolo_step", "pade_step", "db_step"):
+        def step(*args, _step=getattr(sqrtm_module, name), **kwargs):
+            events.append("step")
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(sqrtm_module, name, step)
+    A = _spd(12, 75, shift=1.0)
+    sqrtm_drive(A, opts)
+    first = next(i for i, e in enumerate(events) if isinstance(e, str))
+    assert first == 1
+    assert np.array_equal(events[0], prepare_problem(A, opts)[0])
+
+
+@pytest.mark.parametrize("opts", _CHECKED[2:] + [IterationOptions(alpha_override=0.5)],
+                         ids=_CHECKED_IDS[2:] + ["Z-override"])
+def test_drive_computes_eigenvalues_only_for_the_minimax_alpha(monkeypatch, opts):
+    def refuse(A):
+        raise AssertionError("extreme_eigen_moduli called")
+
+    monkeypatch.setattr(sqrtm_module, "extreme_eigen_moduli", refuse)
+    _, _, rep = sqrtm_drive(_complex_extremes_32(), opts)
+    assert rep.reason == "criterion_satisfied"
+
+
 def _record_det_scaling(monkeypatch):
     calls = []
     for name in ("pade_step", "db_step"):
@@ -649,7 +714,7 @@ def test_drive_minimax_runs_in_float64_on_real_input(monkeypatch, opts, n):
     estimate, solver = _record_factor_dtypes(monkeypatch)
     A = _spd(n, 71, shift=1.0)
     X, Xinv, rep = sqrtm_drive(A, opts)
-    assert estimate and set(estimate) == {np.dtype(np.complex128)}
+    assert not estimate  # the eigenvalues need no LU
     assert solver and set(solver) == {np.dtype(np.float64)}
     assert X.dtype == Xinv.dtype == np.complex128
     assert not np.any(X.imag) and not np.any(Xinv.imag)
