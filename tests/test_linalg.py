@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zolosqrt.linalg import (
+    _POWER_SEED,
     SingularMatrixError,
     dense,
     extreme_eigen_moduli,
@@ -275,6 +276,53 @@ def test_spectral_radius_estimate():
     assert spectral_radius_estimate(np.zeros((3, 3))) == 0.0
 
 
+def _power_loop_with_np_norm(A):
+    # the power loop with np.linalg.norm for |A v|: (estimate, steps taken)
+    A = np.asarray(A, dtype=complex)
+    rng = np.random.default_rng(_POWER_SEED)
+    v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    v = v / np.linalg.norm(v)
+    est = 0.0
+    for step in range(1, 201):
+        w = A @ v
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            break
+        prev, est = est, nw
+        if abs(est - prev) <= 1e-3 * est:
+            break
+        v = w / nw
+    return est, step
+
+
+def _rotation_pair(n):
+    # a nonnormal matrix whose dominant eigenvalues are the pair 0.9 e^(+-i):
+    # |A v| oscillates as v turns, so the loop never settles
+    B = np.diag(np.linspace(0.1, 0.5, n))
+    B[:2, :2] = 0.9 * np.array([[math.cos(1.0), math.sin(1.0)],
+                                [-math.sin(1.0), math.cos(1.0)]])
+    S = np.eye(n) + np.triu(np.full((n, n), 3.0), 1)
+    return S @ B @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "zero", "complex-pair"])
+def test_spectral_radius_estimate_keeps_np_norm_bits(case):
+    # a last-bit change in one |A v| moves the estimate on some matrices
+    # only, so the random cases take several of each order
+    rng = np.random.default_rng(29)
+    mats = {"real": [rng.standard_normal((n, n)) for n in (7, 16, 32) * 4],
+            "complex": [_random_complex(n, rng) for n in (7, 16, 32) * 4],
+            "zero": [np.zeros((5, 5))],
+            "complex-pair": [_rotation_pair(8)]}[case]
+    for A in mats:
+        est, steps = _power_loop_with_np_norm(A)
+        got = spectral_radius_estimate(A)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(est).tobytes()
+    if case == "complex-pair":
+        assert steps == 200
+
+
 def test_det_log_identity():
     assert lu_factor(np.eye(7)).det_log == 0.0
 
@@ -366,6 +414,29 @@ def test_lu_exactly_singular_is_a_flag_not_a_warning():
         warnings.simplefilter("error")
         F = lu_factor(np.zeros((2, 2)))
     assert F.singular
+
+
+def test_lu_flag_contract():
+    # the flag is set at or below n*u*norm(A, inf) (here 2u * 1), and on
+    # an exact zero pivot even when a NaN row makes that threshold NaN
+    at = 2.0 * U
+    assert lu_factor(np.diag([1.0, at])).singular
+    assert not lu_factor(np.diag([1.0, np.nextafter(at, 1.0)])).singular
+    assert lu_factor(np.diag([1.0, 0.0])).singular
+    assert lu_factor(np.diag([1.0, 0.0, np.nan])).singular
+    assert not lu_factor(np.zeros((0, 0))).singular
+    F = lu_factor(np.array([[2, 1], [1, 3]]))
+    assert F.lu.dtype == np.complex128 and not F.singular
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_inverse_results_do_not_share_storage(dtype):
+    F = lu_factor(np.diag([2.0, 4.0, 8.0]).astype(dtype))
+    first = inverse(F)
+    assert first.dtype == dtype and first.flags.writeable
+    first[:] = 7.0
+    assert np.array_equal(inverse(F), np.diag([0.5, 0.25, 0.125]))
+    assert inverse(lu_factor(np.zeros((0, 0)))).shape == (0, 0)
 
 
 def test_lu_empty_matrix_stays_off_lapack(capfd):

@@ -145,8 +145,8 @@ def test_prepare_alpha_is_exact_for_complex_extreme_pairs(A):
 
 @pytest.mark.parametrize("method", ["pade", "denman_beavers"])
 def test_comparators_report_the_alpha_they_iterate_at(method):
-    # the same unconverged estimate: no fallback alpha for a method that
-    # does not read it, so no warning, and the report says alpha = 1
+    # eigenvalues 1 +- 2i, a complex extreme pair: a method that does not
+    # read alpha warns about nothing, and both places say alpha = 1
     A = np.array([[1.0, 4.0], [-1.0, 1.0]])
     opts = IterationOptions(method=method)
     with warnings.catch_warnings():
@@ -661,6 +661,18 @@ def test_drive_thread_count_reproducibility(monkeypatch):
             assert np.array_equal(X, runs[0][0])
             assert np.array_equal(Xinv, runs[0][1])
             assert rep == runs[0][2]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pooled_inverse_matches_inverse(monkeypatch, dtype):
+    # the column halves solve against slices of a fresh identity, the
+    # serial inverse against a shared read-only one: same bits
+    _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    A = _spd(POOL_N, 31, shift=1.0)
+    F = lu_factor(A if dtype is np.float64 else A * (1 + 0.5j))
+    assert sqrtm_module._pooled(POOL_N)
+    assert np.array_equal(sqrtm_module._inverse(F), inverse(F))
 
 
 # an odd order above it, so that halves differ in size

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from zolosqrt.zolofuncs import (
+    _residues_from_nodes,
     BranchCutError,
     PoleHitError,
     ZoloParams,
@@ -332,6 +333,31 @@ def test_pade_limit_monotone_in_alpha(m, ell):
             abs(got - want) for got, want in zip(pf.shifts, pf_lim.shifts)))
     assert all(b < a for a, b in zip(discrepancies, discrepancies[1:]))
     assert discrepancies[-1] <= 1e-3
+
+
+def _residues_per_shift(all_c, m, ell):
+    # the product formula one shift at a time, the bits the broadcast must keep
+    odd, even = all_c[0::2], all_c[1::2]
+    out = np.empty(m)
+    for j in range(m):
+        num = even - odd[j]
+        den = np.delete(odd, j) - odd[j]
+        logmag = np.sum(np.log(np.abs(num))) - np.sum(np.log(np.abs(den)))
+        sign = (-1.0) ** (np.count_nonzero(num < 0) + np.count_nonzero(den < 0))
+        out[j] = sign * math.exp(logmag)
+    return out
+
+
+@pytest.mark.parametrize("m,ell", [(1, 0), (1, 1), (2, 1), (2, 2), (4, 4), (8, 7),
+                                   (8, 8), (16, 16)])
+def test_residues_match_the_per_shift_formula_bit_for_bit(m, ell):
+    nodes = [np.array(build_partial_fraction(ZoloParams(m, ell, float(a))).all_c)
+             for a in np.geomspace(1e-12, 0.999, 40)]
+    nodes.append(np.array(pade_partial_fraction(m, ell).all_c))
+    for all_c in nodes:
+        got = _residues_from_nodes(all_c, m, ell)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _residues_per_shift(all_c, m, ell))
 
 
 def test_equioscillation_node_frame():
