@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -95,19 +94,24 @@ def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
     return A @ B
 
 
+def _work(B: np.ndarray, other: np.dtype = _REAL) -> np.ndarray:
+    """B in the work dtype: float64 when B and the other operand's dtype
+    are float64, else complex128."""
+    return B if B.dtype == other == _REAL else B.astype(_COMPLEX, copy=False)
+
+
 def lu_factor(A: DenseMatrix) -> LUFactors:
     """Partial-pivoted LU, in float64 for float64 A, else complex128. Never
     raises or warns for singular input; the factor carries a flag instead."""
-    A = np.asarray(A)
-    real = A.dtype == _REAL
-    A = A if real else A.astype(_COMPLEX, copy=False)
+    A = _work(np.asarray(A))
     n = A.shape[0]
     if not n:  # LAPACK rejects (and prints about) n = 0; empty factors are trivial
         return LUFactors(lu=A.copy(), piv=np.arange(0, dtype=np.int32), n=0, singular=False)
-    lu, piv, info = (dgetrf if real else zgetrf)(A)
+    lu, piv, info = (dgetrf if A.dtype == _REAL else zgetrf)(A)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf (lu_factor)")
-    pivot = np.fmin.reduce(np.abs(lu.diagonal()))  # fmin skips NaN, which no test flags
+    # fmin skips NaN pivots, which the old per-pivot comparisons never flagged either
+    pivot = np.fmin.reduce(np.abs(lu.diagonal()))
     singular = bool(pivot <= n * _EPS * np.abs(A).sum(axis=1).max() or pivot == 0.0)
     return LUFactors(lu=lu, piv=piv, n=n, singular=singular)
 
@@ -130,8 +134,7 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
     """
     if F.singular:
         raise SingularMatrixError("solve with a singular factor")
-    B = np.asarray(B)
-    B = B if B.dtype == F.lu.dtype == _REAL else B.astype(_COMPLEX, copy=False)
+    B = _work(np.asarray(B), F.lu.dtype)
     if side == "left":
         return _lu_solve(F, B)
     if side == "right":
@@ -139,22 +142,11 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-@lru_cache(maxsize=32)
-def _identity(n: int, dtype: np.dtype) -> np.ndarray:
-    """A shared read-only identity; getrs solves against a copy of it."""
-    eye = np.eye(n, dtype=dtype)
-    eye.flags.writeable = False
-    return eye
-
-
 def inverse(F: LUFactors) -> DenseMatrix:
-    """A^{-1} by solving against the identity, in the dtype of F. Up to
-    order 64, where building it shows, the identity is a shared one (the
-    cache then holds at most 32 of 64 KiB)."""
+    """A^{-1} by solving against the identity, in the dtype of F."""
     if F.singular:
         raise SingularMatrixError("inverse of a singular factor")
-    n, dtype = F.n, F.lu.dtype
-    return _lu_solve(F, _identity(n, dtype) if n <= 64 else np.eye(n, dtype=dtype))
+    return _lu_solve(F, np.eye(F.n, dtype=F.lu.dtype))
 
 
 def norm(A: DenseMatrix, kind: str = "inf") -> float:
