@@ -30,7 +30,7 @@ from .corpus import (
     select_methods,
 )
 from .linalg import SingularMatrixError, dense
-from .sqrtm import _FORMS, _METHODS, IterationAbortError, IterationOptions, sqrtm_drive
+from .sqrtm import _METHODS, IterationAbortError, IterationOptions, sqrtm_drive
 from .zolofuncs import (
     ZoloParams,
     _kappa_guard,
@@ -210,8 +210,7 @@ def cmd_sqrtm(cfg) -> int:
     A = read_matrix(cfg.input, cfg.format)
     opts = IterationOptions(
         method=cfg.method, m=cfg.m, ell=cfg.ell,
-        alpha_override=cfg.alpha, form=cfg.form,
-        max_iter=cfg.max_iter,
+        alpha_override=cfg.alpha, max_iter=cfg.max_iter,
     )
     _check_overwrite(cfg.output, cfg.force)
     inv_path = _inverse_path(cfg.output)
@@ -326,7 +325,6 @@ def _build_parser() -> _Parser:
     sq.add_argument("--alpha", type=float, default=None,
                     help="override the interval parameter (minimax method only)")
     sq.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    sq.add_argument("--form", choices=_FORMS, default=defaults.form)
     sq.add_argument("--inverse", action="store_true",
                     help="also write the inverse square root")
     sq.add_argument("--force", action="store_true",

@@ -1,9 +1,9 @@
 """Coupled iterations for the principal matrix square root.
 
 The driver scales A by a power-iteration estimate of its spectral
-radius, factors the scaled A once (singularity check and norm(A^{-1})),
-and runs one of three methods. The minimax iteration (full or alt form)
-and the Pade comparator share one partial-fraction update,
+radius, factors the scaled A once (singularity check, and norm(A^{-1})
+for Denman-Beavers), and runs one of three methods. The minimax
+iteration and the Pade comparator share one partial-fraction update,
 Y' = Y h(Z Y), Z' = h(Z Y) Z, with h's coefficients taken at alpha_k;
 Pade is its alpha = 1 case, plus determinantal scaling in its early
 steps. Denman-Beavers is the third method. Only the minimax method reads
@@ -20,11 +20,11 @@ BLAS-3 calls of a solve run on one scheduler, whose workers are a
 process-wide thread pool and the calling thread: the m shifted systems
 of a step (or the two solves of a single one), the two factorizations of
 determinantal scaling, the two inverses of a Denman-Beavers step, and
-the halves of every other inverse, by columns, and product, by rows of
+the halves of its A^{-1}, by columns, and of every product, by rows of
 its left operand, since a solve treats each column and a product each
-row on its own. Only the LUs of Z_k and of A stay serial. The
-partial-fraction reduction sums in shift order as results arrive, so
-the bits do not depend on the number of workers.
+row on its own. Only the LU of A stays serial. The partial-fraction
+reduction sums in shift order as results arrive, so the bits do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .zolofuncs import (ZoloParams, _check_type, _form_for, advance_alpha,
 _EPS = 2.0 ** -53
 
 _METHODS = ("zolotarev", "pade", "denman_beavers")
-_FORMS = ("full", "alt")
 
 __all__ = [
     "IterationAbortError",
@@ -98,15 +97,16 @@ class IterationOptions:
     m: int = 8
     ell: int = 8
     alpha_override: float | None = None
-    form: str = "alt"
+    # one value left; the benchmark's workloads still pass form="full"
+    form: str = "full"
     max_iter: int = 20
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         _check_type(self.m, self.ell)
-        if self.form not in _FORMS:
-            raise ValueError(f"form must be 'full' or 'alt', got {self.form!r}")
+        if self.form != "full":
+            raise ValueError(f"form must be 'full', got {self.form!r}")
         if self.alpha_override is not None and self.method != "zolotarev":
             raise ValueError("alpha_override is for the minimax method only; "
                              f"{self.method!r} iterates at alpha = 1")
@@ -127,9 +127,9 @@ class IterationState:
     ``prev_change`` is the relative change that produced this state,
     set by termination_check (inf before the first step); ``diag``
     carries step byproducts: "zy_gap" = norm of the tilde-normalized
-    Z_k Y_k - I formed by a full-form step, "z_inv_norm" = norm of the
-    Z_k^{-1} (or Denman-Beavers Y_k^{-1}) that an alt-form step inverted,
-    and "change" = the step change recorded by termination_check.
+    Z_k Y_k - I formed by a partial-fraction step, "z_inv_norm" = norm of
+    the Y_k^{-1} that a Denman-Beavers step inverted, and "change" = the
+    step change recorded by termination_check.
     """
 
     Y: DenseMatrix
@@ -392,19 +392,17 @@ def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
-def _pf_update(Y, Z, pf, t: float, form: str, k: int, z_eye: float | None = None):
+def _pf_update(Y, Z, pf, t: float, k: int, z_eye: float | None = None):
     """The partial-fraction update Y' = Y h(Z Y), Z' = h(Z Y) Z with
     h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])).
 
-    The full form factors Z Y + c_j I and records the gap norm(t^2 Z Y - I)
-    with t the tilde factor; the alt form factors Z once and Y + c_j Z^{-1},
-    recording norm(Z^{-1}). k indexes the state being advanced.
+    Factors Z Y + c_j I and records the gap norm(t^2 Z Y - I) with t the
+    tilde factor. k indexes the state being advanced.
 
     z_eye, when given, says Z = z_eye * I exactly, as in the driver's start
-    state: the full form then forms Z Y as z_eye * Y, and the alt form
-    (z_eye = 1) skips the LU and inverse of Z and the product by Z^{-1}.
-    A product by an exact scaled identity changes at most the sign of a
-    zero, so the values are those of the products.
+    state: Z Y is then formed as z_eye * Y. A product by an exact scaled
+    identity changes at most the sign of a zero, so the values are those
+    of the product.
 
     The m shifted systems are independent and run on the scheduler, one
     task each; a single system splits into its two solves instead.
@@ -412,28 +410,11 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, z_eye: float | None = None
     shifts, residues = pf.shifts, pf.residues
     m, n = len(shifts), Y.shape[0]
     eye = np.eye(n, dtype=np.result_type(Y, Z))
-    diag: dict = {}
-
-    if form == "full":
-        P = _matmul(Z, Y) if z_eye is None else z_eye * Y
-        diag["zy_gap"] = norm(t ** 2 * P - eye)
-        base, addend = P, eye
-
-        def other(F):
-            return _la.solve(F, Z, side="left")
-    else:
-        if z_eye == 1.0:
-            W = eye
-        else:
-            FZ = lu_factor(Z)
-            if FZ.singular:
-                raise IterationAbortError(f"singular Z iterate at iteration {k + 1}")
-            W = _inverse(FZ)
-        diag["z_inv_norm"] = norm(W)
-        base, addend, other = Y, W, inverse
+    P = _matmul(Z, Y) if z_eye is None else z_eye * Y
+    diag = {"zy_gap": norm(t ** 2 * P - eye)}
 
     def factor(j: int):
-        F = lu_factor(base + shifts[j] * addend)
+        F = lu_factor(P + shifts[j] * eye)
         if F.singular:
             raise IterationAbortError(
                 f"singular shifted system at iteration {k + 1}, "
@@ -443,6 +424,9 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, z_eye: float | None = None
 
     def right(F):
         return _la.solve(F, Y, side="right")
+
+    def other(F):
+        return _la.solve(F, Z, side="left")
 
     def shifted_pair(j: int):
         F = factor(j)
@@ -454,8 +438,6 @@ def _pf_update(Y, Z, pf, t: float, form: str, k: int, z_eye: float | None = None
     else:
         pairs = _schedule(shifted_pair, m, n)
     y_new, z_new = _reduce(residues, pairs)
-    if form == "alt" and W is not eye:
-        y_new = _matmul(y_new, W)
     if pf.has_constant_term:
         y_new = Y + y_new
         z_new = Z + z_new
@@ -469,20 +451,17 @@ def _eye_start(st: IterationState) -> float | None:
     return None
 
 
-def zolo_step(st: IterationState, p: ZoloParams, form: str = "alt") -> IterationState:
+def zolo_step(st: IterationState, p: ZoloParams) -> IterationState:
     """One coupled minimax step of type (p.m, p.ell): the partial-fraction
     update with coefficients evaluated at the state's alpha_k.
 
     p fixes the type; once alpha_k has been clamped to 1 the Pade limit
     coefficients are substituted, so the step becomes pade_step without
-    determinantal scaling. The alt form stores norm(Z_k^{-1}) as a
-    byproduct, the full form the tilde-normalized gap.
+    determinantal scaling. The tilde-normalized gap is its byproduct.
     """
-    if form not in _FORMS:
-        raise ValueError(f"form must be 'full' or 'alt', got {form!r}")
     alpha = st.alpha_k
     Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(p.m, p.ell, alpha),
-                            _tilde_factor(alpha), form, st.k, _eye_start(st))
+                            _tilde_factor(alpha), st.k, _eye_start(st))
     return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, p.m, p.ell),
                           k=st.k + 1, diag=diag)
 
@@ -493,7 +472,7 @@ def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
 
 def pade_step(st: IterationState, m: int, ell: int,
               det_scaling: bool = False) -> IterationState:
-    """One fixed-coefficient comparator step: the full-form partial-fraction
+    """One fixed-coefficient comparator step: the partial-fraction
     update at alpha = 1 (the Pade limit coefficients), optionally with
     determinantal scaling of Y and Z before the update."""
     Y, Z = st.Y, st.Z
@@ -509,8 +488,7 @@ def pade_step(st: IterationState, m: int, ell: int,
         Y, Z = g * Y, g * Z
         if z_eye is not None:
             z_eye = g
-    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, "full", st.k,
-                            z_eye)
+    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, st.k, z_eye)
     return IterationState(Y=Y, Z=Z, alpha_k=1.0, k=st.k + 1, diag=diag)
 
 
@@ -548,8 +526,8 @@ def normalized_iterates(st: IterationState):
 
 
 def _uses_gap(opts: IterationOptions) -> bool:
-    """Acceptance tests the stored Z Y - I gap (full form, Pade), else the change."""
-    return opts.method == "pade" or (opts.method == "zolotarev" and opts.form == "full")
+    """Acceptance tests the stored Z Y - I gap (minimax, Pade), else the change."""
+    return opts.method != "denman_beavers"
 
 
 def termination_check(st: IterationState, prev: IterationState,
@@ -560,10 +538,10 @@ def termination_check(st: IterationState, prev: IterationState,
     iteration, and recorded on st: diag["change"] and, relative to
     norm(Yt_k), prev_change.
 
-    Gap-producing steps (full form, pade) are accepted when the stored
+    Partial-fraction steps (minimax, pade) are accepted when the stored
     norm of Z_{k-1} Y_{k-1} - I (tilde-normalized) is at or below
-    8 (delta/4)^(1/q); difference-based steps (alt form, Denman-Beavers)
-    when norm(Yt_k - Yt_{k-1}) is at or below
+    8 (delta/4)^(1/q); Denman-Beavers steps when norm(Yt_k - Yt_{k-1}) is
+    at or below
     (delta norm(Yt_k) / (norm(A^{-1}) norm(Zt_{k-1}^{-1})))^(1/q),
     with delta = u sqrt(n). Stagnation fires when the relative change
     fails to halve while both the current and the previous relative
@@ -611,8 +589,9 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     unscaled back to the original A; the relative residual is measured
     once at exit in the inf-norm. When the scaled A is real and the
     method is not Pade, all from the factor of the scaled A on (the
-    singularity check, norm(A^{-1}), iterates, exit residual) runs in
-    float64. Pade stays complex; X and Xinv are complex128 either way.
+    singularity check, Denman-Beavers' norm(A^{-1}), iterates, exit
+    residual) runs in float64. Pade stays complex; X and Xinv are
+    complex128 either way.
     OpenBLAS runs on one thread for the whole call, and its previous
     thread counts are restored on return or raise.
     """
@@ -646,7 +625,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     for _ in range(opts.max_iter):
         prev = state
         if opts.method == "zolotarev":
-            state = zolo_step(prev, p, opts.form)
+            state = zolo_step(prev, p)
         elif opts.method == "pade":
             state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
         else:
