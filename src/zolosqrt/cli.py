@@ -25,7 +25,6 @@ from .corpus import (
     bench_cases,
     bench_methods,
     emit_csv,
-    is_hermitian,
     run_suite,
     select_methods,
 )
@@ -291,7 +290,7 @@ def _load_directory_cases(directory: str) -> list[TestCase]:
             continue
         fmt = "matrixmarket" if ext == ".mtx" else "csv"
         A = read_matrix(os.path.join(directory, name), fmt)
-        cases.append(TestCase(stem, A, hermitian_flag=is_hermitian(A)))
+        cases.append(TestCase(stem, A))
     if not cases:
         raise ValueError(f"no .mtx or .csv matrix files found in {directory}")
     return cases

@@ -46,11 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestCase:
-    """A named matrix, its Hermitian-ness, and an optional reference root."""
+    """A named matrix and an optional reference root."""
 
     name: str
     matrix: DenseMatrix
-    hermitian_flag: bool
     reference: DenseMatrix | None = None
 
 
@@ -100,7 +99,7 @@ def gen_rank_one(n: int) -> TestCase:
     s = float(v @ w)
     c = (math.sqrt(1.0 + s) - 1.0) / s
     ref = np.eye(n) + c * outer
-    return TestCase("A1", dense(A), hermitian_flag=False, reference=dense(ref))
+    return TestCase("A1", dense(A), reference=dense(ref))
 
 
 def gen_moler(n: int) -> TestCase:
@@ -119,7 +118,7 @@ def gen_moler(n: int) -> TestCase:
         # the round-off floor no eigensolver can certify positivity, so
         # the case ships without a reference (rel_error stays blank)
         ref = None
-    return TestCase("moler", A, hermitian_flag=True, reference=ref)
+    return TestCase("moler", A, reference=ref)
 
 
 def gen_chebvand(n: int) -> TestCase:
@@ -128,14 +127,14 @@ def gen_chebvand(n: int) -> TestCase:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return TestCase("chebvand", dense(np.ones((1, 1))), hermitian_flag=False)
+        return TestCase("chebvand", dense(np.ones((1, 1))))
     pts = np.arange(n, dtype=float) / (n - 1)
     C = np.empty((n, n), dtype=float)
     C[0] = 1.0
     C[1] = pts
     for i in range(2, n):
         C[i] = 2.0 * pts * C[i - 1] - C[i - 2]
-    return TestCase("chebvand", dense(C), hermitian_flag=False)
+    return TestCase("chebvand", dense(C))
 
 
 def gen_spd_logspectrum(n: int, alpha: float, seed: int) -> TestCase:
@@ -153,8 +152,7 @@ def gen_spd_logspectrum(n: int, alpha: float, seed: int) -> TestCase:
     A = 0.5 * (A + A.T)
     ref = (q * np.sqrt(d)) @ q.T
     ref = 0.5 * (ref + ref.T)
-    return TestCase(f"spdlog({alpha:g})", dense(A), hermitian_flag=True,
-                    reference=dense(ref))
+    return TestCase(f"spdlog({alpha:g})", dense(A), reference=dense(ref))
 
 
 def _offdiag_fro(H: np.ndarray) -> float:

@@ -1,18 +1,17 @@
 """Coupled iterations for the principal matrix square root.
 
 The driver scales A by a power-iteration estimate of its spectral
-radius, factors the scaled A once (singularity check, and norm(A^{-1})
-for Denman-Beavers), and runs one of three methods. The minimax
-iteration and the Pade comparator share one partial-fraction update,
-Y' = Y h(Z Y), Z' = h(Z Y) Z, with h's coefficients taken at alpha_k;
-Pade is its alpha = 1 case, plus determinantal scaling in its early
-steps. Denman-Beavers is the third method. Only the minimax method reads
-alpha, from the exact extreme eigenvalue moduli; the comparators run and
-report alpha = 1. States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for
-Denman-Beavers the pair (X_k, Y_k) lives in the same two slots). On real
-input every iterate is real, and all but Pade run in float64; Pade stays
-in complex128 for its A1/P-(1,0) cell of acceptance 7b. Every method
-returns complex128.
+radius, factors the scaled A once to check it is nonsingular, and runs
+one of three methods. The minimax iteration and the Pade comparator
+share one partial-fraction update, Y' = Y h(Z Y), Z' = h(Z Y) Z, with
+h's coefficients taken at alpha_k; Pade is its alpha = 1 case, plus
+determinantal scaling in its early steps. Denman-Beavers is the third
+method. Only the minimax method reads alpha, from the exact extreme
+eigenvalue moduli; the comparators run and report alpha = 1. States
+carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the pair
+(X_k, Y_k) lives in the same two slots). On real input every iterate is
+real, and all but Pade run in float64; Pade stays in complex128 for its
+A1/P-(1,0) cell of acceptance 7b. Every method returns complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
@@ -20,11 +19,10 @@ BLAS-3 calls of a solve run on one scheduler, whose workers are a
 process-wide thread pool and the calling thread: the m shifted systems
 of a step (or the two solves of a single one), the two factorizations of
 determinantal scaling, the two inverses of a Denman-Beavers step, and
-the halves of its A^{-1}, by columns, and of every product, by rows of
-its left operand, since a solve treats each column and a product each
-row on its own. Only the LU of A stays serial. The partial-fraction
-reduction sums in shift order as results arrive, so the bits do not
-depend on the number of workers.
+the halves of every product, by rows of its left operand, since a
+product treats each row on its own. Only the LU of A stays serial. The
+partial-fraction reduction sums in shift order as results arrive, so the
+bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -127,9 +125,11 @@ class IterationState:
     ``prev_change`` is the relative change that produced this state,
     set by termination_check (inf before the first step); ``diag``
     carries step byproducts: "zy_gap" = norm of the tilde-normalized
-    Z_k Y_k - I formed by a partial-fraction step, "z_inv_norm" = norm of
-    the Y_k^{-1} that a Denman-Beavers step inverted, and "change" = the
-    step change recorded by termination_check.
+    Z_k Y_k - I formed by a partial-fraction step, "x_inv_norm" and
+    "z_inv_norm" = norms of the X_k^{-1} and Y_k^{-1} that a
+    Denman-Beavers step inverted (X_0 is the scaled A, so the first step's
+    "x_inv_norm" is norm(A^{-1})), and "change" = the step change
+    recorded by termination_check.
     """
 
     Y: DenseMatrix
@@ -335,46 +335,24 @@ def _run_unstarted(window, fn, first: int) -> bool:
     return False
 
 
-def _in_halves(fill, n: int) -> None:
-    """fill(slice(0, n // 2)) and fill(slice(n // 2, n)) on the scheduler."""
-    cuts = (0, n // 2, n)
-    for _ in _schedule(lambda i: fill(slice(cuts[i], cuts[i + 1])), 2, n):
-        pass
-
-
-def _inverse(F) -> DenseMatrix:
-    """inverse(F); when pooled, two solves against the column halves of
-    the identity. getrs solves each column on its own, so the halves give
-    the whole call's bits, and the result keeps its column-major layout,
-    which the row sums of norm read in a fixed order."""
-    n = F.n
-    if F.singular or not _pooled(n):
-        return inverse(F)
-    eye = np.eye(n, dtype=F.lu.dtype)
-    W = np.empty((n, n), dtype=F.lu.dtype, order="F")
-
-    def half(cols):
-        W[:, cols] = _la.solve(F, eye[:, cols])
-
-    _in_halves(half, n)
-    return W
-
-
 def _matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
-    """matmul(A, B); when pooled, two products of the row halves of A.
-    A row of the product depends on that row of A alone, and gemm sums
-    each entry in the same order for any number of rows, so the halves
-    give the whole product's bits (column halves of B did not, at some
-    odd orders)."""
+    """matmul(A, B); when pooled, two products of the row halves of A on
+    the scheduler. A row of the product depends on that row of A alone,
+    and gemm sums each entry in the same order for any number of rows, so
+    the halves give the whole product's bits (column halves of B did not,
+    at some odd orders)."""
     n = A.shape[0]
     if not _pooled(n):
         return matmul(A, B)
     C = np.empty((n, B.shape[1]), dtype=np.result_type(A, B))
+    cuts = (0, n // 2, n)
 
-    def half(rows):
+    def half(i: int) -> None:
+        rows = slice(cuts[i], cuts[i + 1])
         C[rows] = matmul(A[rows], B)
 
-    _in_halves(half, n)
+    for _ in _schedule(half, 2, n):
+        pass
     return C
 
 
@@ -507,7 +485,7 @@ def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
     (FX, x_inv), (FY, y_inv) = _schedule(factor_and_invert, 2, n)
     if FX.singular or FY.singular:
         raise IterationAbortError(f"singular iterate at iteration {st.k + 1}")
-    diag = {"z_inv_norm": norm(y_inv)}
+    diag = {"x_inv_norm": norm(x_inv), "z_inv_norm": norm(y_inv)}
     g = _det_scale_factor(FX.det_log, FY.det_log, n) if det_scaling else 1.0
     ginv = 1.0 / g
     return IterationState(
@@ -523,11 +501,6 @@ def normalized_iterates(st: IterationState):
         raise ValueError(f"alpha_k={st.alpha_k!r} outside (0, 1]")
     t = _tilde_factor(st.alpha_k)
     return t * st.Y, t * st.Z
-
-
-def _uses_gap(opts: IterationOptions) -> bool:
-    """Acceptance tests the stored Z Y - I gap (minimax, Pade), else the change."""
-    return opts.method != "denman_beavers"
 
 
 def termination_check(st: IterationState, prev: IterationState,
@@ -550,11 +523,13 @@ def termination_check(st: IterationState, prev: IterationState,
     first crosses 1e-2, where mid phase contraction ratios routinely
     exceed 1/2 long before the iteration stalls. It needs prev.prev_change (the change at k-1, set
     by the check on prev) and is therefore inactive before k = 2.
-    aux supplies norm(A^{-1}) as "a_inv_norm"; the raw norm(Z_{k-1}^{-1})
-    is the "z_inv_norm" the step stored in st.diag.
+    aux supplies norm(A^{-1}) as "a_inv_norm", which the driver takes
+    from the first step's "x_inv_norm"; the raw norm(Z_{k-1}^{-1}) is the
+    "z_inv_norm" the step stored in st.diag.
     """
     delta = _EPS * math.sqrt(st.Y.shape[0])
-    q = 2 if opts.method == "denman_beavers" else opts.m + opts.ell + 1
+    db = opts.method == "denman_beavers"
+    q = 2 if db else opts.m + opts.ell + 1
 
     yt = _tilde_factor(st.alpha_k) * st.Y
     change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y)
@@ -562,7 +537,7 @@ def termination_check(st: IterationState, prev: IterationState,
     st.diag["change"] = change
     st.prev_change = change / size if size > 0.0 else 0.0
 
-    if _uses_gap(opts):
+    if not db:
         gap = st.diag.get("zy_gap")
         if gap is not None and gap <= 8.0 * (delta / 4.0) ** (1.0 / q):
             return "accept"
@@ -589,9 +564,8 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     unscaled back to the original A; the relative residual is measured
     once at exit in the inf-norm. When the scaled A is real and the
     method is not Pade, all from the factor of the scaled A on (the
-    singularity check, Denman-Beavers' norm(A^{-1}), iterates, exit
-    residual) runs in float64. Pade stays complex; X and Xinv are
-    complex128 either way.
+    singularity check, iterates, exit residual) runs in float64. Pade
+    stays complex; X and Xinv are complex128 either way.
     OpenBLAS runs on one thread for the whole call, and its previous
     thread counts are restored on return or raise.
     """
@@ -610,8 +584,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     if FA.singular:
         raise SingularMatrixError("sqrtm_drive requires nonsingular A")
 
-    aux = {"a_inv_norm": None if _uses_gap(opts) else norm(_inverse(FA))}
-
+    aux = {}
     if opts.method == "zolotarev":
         p = ZoloParams(opts.m, opts.ell, min(alpha, 1.0 - 1e-15))
     scaling_active = opts.method != "zolotarev"
@@ -630,6 +603,8 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
             state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
         else:
             state = db_step(prev, det_scaling=scaling_active)
+            # X_0 is the scaled A, so the first step inverted it
+            aux.setdefault("a_inv_norm", state.diag["x_inv_norm"])
         decision = termination_check(state, prev, opts, aux)
         alpha_hist.append(state.alpha_k)
         change_hist.append(state.diag["change"])

@@ -17,6 +17,7 @@ from zolosqrt.corpus import (
     gen_moler,
     gen_rank_one,
     gen_spd_logspectrum,
+    is_hermitian,
     method_label,
     reference_sqrt_hermitian,
     run_suite,
@@ -62,7 +63,6 @@ def test_rank_one_spectrum():
 
 def test_rank_one_reference():
     tc = gen_rank_one(16)
-    assert not tc.hermitian_flag
     assert _reference_ok(tc)
 
 
@@ -94,7 +94,6 @@ def test_moler_unit_determinant():
 
 def test_moler_reference():
     tc = gen_moler(16)
-    assert tc.hermitian_flag
     assert _reference_ok(tc)
 
 
@@ -120,7 +119,6 @@ def test_spdlog_eigenvalue_extremes():
     eigs = np.linalg.eigvalsh(tc.matrix)
     assert eigs[0] == pytest.approx(alpha ** 2, rel=1e-10)
     assert eigs[-1] == pytest.approx(1.0, rel=1e-10)
-    assert tc.hermitian_flag
     assert _reference_ok(tc)
 
 
@@ -175,8 +173,7 @@ def test_reference_rejects_indefinite():
 # ----------------------------------------------------------------- metrics
 
 def test_metrics_identity():
-    tc = MatrixCase("I", np.eye(2, dtype=complex), True,
-                  reference=np.eye(2, dtype=complex))
+    tc = MatrixCase("I", np.eye(2, dtype=complex), reference=np.eye(2, dtype=complex))
     m = compute_metrics(tc, np.eye(2, dtype=complex), _report(0))
     assert m.alpha_inf == 1.0
     assert m.kappa2_sqrt == pytest.approx(1.0, rel=1e-6)
@@ -189,7 +186,7 @@ def test_metrics_identity():
 
 
 def test_metrics_scalar_case():
-    tc = MatrixCase("d4", np.array([[4.0 + 0.0j]]), True)
+    tc = MatrixCase("d4", np.array([[4.0 + 0.0j]]))
     m = compute_metrics(tc, np.array([[2.0 + 0.0j]]), _report(1))
     assert m.alpha_inf == 1.0
     assert m.rel_residual == 0.0
@@ -199,7 +196,7 @@ def test_metrics_scalar_case():
 
 def test_metrics_kappa_sqrt_skipped_for_large_n():
     n = 34
-    tc = MatrixCase("big", np.eye(n, dtype=complex), True)
+    tc = MatrixCase("big", np.eye(n, dtype=complex))
     m = compute_metrics(tc, np.eye(n, dtype=complex), _report(0))
     assert m.kappa_sqrt is None
     assert m.kappa2_sqrt == pytest.approx(1.0, rel=1e-6)
@@ -234,7 +231,7 @@ def test_method_labels():
 
 
 def test_run_suite_single_cell():
-    tc = MatrixCase("I", np.eye(3, dtype=complex), True)
+    tc = MatrixCase("I", np.eye(3, dtype=complex))
     rows = run_suite([tc], [IterationOptions()])
     assert len(rows) == 1
     assert rows[0].case == "I" and rows[0].method == "Z-(8,8)"
@@ -243,14 +240,14 @@ def test_run_suite_single_cell():
 
 
 def test_run_suite_identity_converges_immediately():
-    tc = MatrixCase("I", np.eye(4, dtype=complex), True)
+    tc = MatrixCase("I", np.eye(4, dtype=complex))
     for row in run_suite([tc], bench_methods()):
         assert row.metrics.iterations <= 1
 
 
 def test_run_suite_row_count_and_order():
-    cases = [MatrixCase("a", np.eye(2, dtype=complex), True),
-             MatrixCase("b", 4.0 * np.eye(2, dtype=complex), True)]
+    cases = [MatrixCase("a", np.eye(2, dtype=complex)),
+             MatrixCase("b", 4.0 * np.eye(2, dtype=complex))]
     methods = [IterationOptions(method="pade", m=1, ell=0),
                IterationOptions(method="denman_beavers")]
     rows = run_suite(cases, methods)
@@ -259,8 +256,8 @@ def test_run_suite_row_count_and_order():
 
 
 def test_run_suite_records_cell_failure():
-    bad = MatrixCase("sing", np.zeros((2, 2), dtype=complex), True)
-    good = MatrixCase("I", np.eye(2, dtype=complex), True)
+    bad = MatrixCase("sing", np.zeros((2, 2), dtype=complex))
+    good = MatrixCase("I", np.eye(2, dtype=complex))
     rows = run_suite([bad, good], [IterationOptions()])
     assert rows[0].metrics is None and rows[0].error
     assert rows[1].metrics is not None and rows[1].error is None
@@ -270,7 +267,7 @@ def test_run_suite_rejects_empty():
     with pytest.raises(ValueError):
         run_suite([], [IterationOptions()])
     with pytest.raises(ValueError):
-        run_suite([MatrixCase("I", np.eye(2, dtype=complex), True)], [])
+        run_suite([MatrixCase("I", np.eye(2, dtype=complex))], [])
 
 
 # ------------------------------------------------------------------ output
@@ -279,7 +276,7 @@ def test_emit_csv_header_and_formats():
     import csv
     import io
 
-    tc = MatrixCase("I", np.eye(2, dtype=complex), True)
+    tc = MatrixCase("I", np.eye(2, dtype=complex))
     rows = run_suite([tc], [IterationOptions()])
     text = emit_csv(rows)
     parsed = list(csv.reader(io.StringIO(text)))
@@ -296,7 +293,7 @@ def test_emit_csv_failure_row_is_empty():
     import csv
     import io
 
-    bad = MatrixCase("sing", np.zeros((2, 2), dtype=complex), True)
+    bad = MatrixCase("sing", np.zeros((2, 2), dtype=complex))
     text = emit_csv(run_suite([bad], [IterationOptions()]))
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[1][:2] == ["sing", "Z-(8,8)"]
@@ -320,6 +317,6 @@ def test_bench_methods_roster():
 
 def test_bench_hermitian_references_attached():
     for tc in bench_cases():
-        if tc.hermitian_flag:
+        if is_hermitian(tc.matrix):
             assert tc.reference is not None
             assert _reference_ok(tc)

@@ -478,7 +478,7 @@ def test_drive_rejects_singular_input(opts, A):
 
 @pytest.mark.parametrize("opts", _CHECKED, ids=_CHECKED_IDS)
 def test_drive_factors_scaled_input_once_before_the_first_step(monkeypatch, opts):
-    # one factor serves the singularity check and norm(A^{-1})
+    # one factor serves the singularity check
     events = []
 
     def factor(M, _lu=sqrtm_module.lu_factor):
@@ -497,6 +497,52 @@ def test_drive_factors_scaled_input_once_before_the_first_step(monkeypatch, opts
     first = next(i for i, e in enumerate(events) if isinstance(e, str))
     assert first == 1
     assert np.array_equal(events[0], prepare_problem(A, opts)[0])
+
+
+def test_drive_denman_beavers_inverts_only_in_its_steps(monkeypatch):
+    # norm(A^{-1}) comes from the first step's inverse of X_0 = A_scaled,
+    # so every inverse is one of the two each step forms
+    calls = []
+
+    def counting(F, _inverse=sqrtm_module.inverse):
+        calls.append(F.n)
+        return _inverse(F)
+
+    monkeypatch.setattr(sqrtm_module, "inverse", counting)
+    _, _, rep = sqrtm_drive(_spd(12, 75, shift=1.0),
+                            IterationOptions(method="denman_beavers"))
+    assert rep.reason == "criterion_satisfied"
+    assert len(calls) == 2 * rep.iterations
+
+
+_NO_ROOT = {"[[-4]]": np.array([[-4.0]]), "diag(-1, 4)": np.diag([-1.0, 4.0]),
+            "diag(-1, -4)": np.diag([-1.0, -4.0])}
+_ALL_TYPES = _CHECKED + [IterationOptions(m=1, ell=0),
+                        IterationOptions(method="pade", m=1, ell=0)]
+_ALL_TYPE_IDS = _CHECKED_IDS + ["Z-(1,0)", "P-(1,0)"]
+
+
+@pytest.mark.parametrize("A", list(_NO_ROOT.values()), ids=list(_NO_ROOT))
+@pytest.mark.parametrize("opts", _ALL_TYPES, ids=_ALL_TYPE_IDS)
+def test_drive_never_accepts_input_without_a_principal_root(opts, A):
+    try:
+        _, _, rep = sqrtm_drive(A, opts)
+    except (SingularMatrixError, IterationAbortError):
+        return
+    assert rep.reason != "criterion_satisfied"
+
+
+@pytest.mark.parametrize("opts", _ALL_TYPES, ids=_ALL_TYPE_IDS)
+def test_drive_accepts_near_cut_input_only_at_a_small_residual(opts):
+    # eigenvalues -1 +- 1e-6 i lie just off the cut, so a principal root
+    # exists; a solve may fail on it but must not accept a wrong root
+    A = np.array([[-1.0, 1e-6], [-1e-6, -1.0]])
+    try:
+        _, _, rep = sqrtm_drive(A, opts)
+    except (SingularMatrixError, IterationAbortError):
+        return
+    if rep.reason == "criterion_satisfied":
+        assert rep.residual <= 1e-8
 
 
 @pytest.mark.parametrize("opts", _CHECKED[1:] + [IterationOptions(alpha_override=0.5)],
@@ -643,18 +689,6 @@ def test_drive_thread_count_reproducibility(monkeypatch):
             assert rep == runs[0][2]
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_pooled_inverse_matches_inverse(monkeypatch, dtype):
-    # the column halves solve against slices of a fresh identity, the
-    # serial inverse against a shared read-only one: same bits
-    _blas_threads()
-    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
-    A = _spd(POOL_N, 31, shift=1.0)
-    F = lu_factor(A if dtype is np.float64 else A * (1 + 0.5j))
-    assert sqrtm_module._pooled(POOL_N)
-    assert np.array_equal(sqrtm_module._inverse(F), inverse(F))
-
-
 # an odd order above it, so that halves differ in size
 ODD_N = 2 * POOL_N + 1
 
@@ -663,8 +697,8 @@ ODD_N = 2 * POOL_N + 1
 def test_drive_split_paths_reproducible(monkeypatch, n):
     # Z-(1,0) runs the two solves of its one shifted system side by side,
     # P-(8,8) the two LUs of determinantal scaling, and every method splits
-    # its other inverses by columns and products by rows: same bits at any
-    # worker count, for symmetric and nonsymmetric input
+    # its products by rows: same bits at any worker count, for symmetric
+    # and nonsymmetric input
     rng = np.random.default_rng(n)
     mats = (_spd(n, 47, shift=4.0), rng.standard_normal((n, n)) + n * np.eye(n))
     for A in mats:
