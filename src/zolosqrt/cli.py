@@ -3,9 +3,9 @@ kappa contour grids, and benchmark runs.
 
 Exit codes: 0 success, 1 usage or parse error, 2 numerical failure
 (non-convergence or a singular matrix). Matrix files round-trip bit-exactly.
-They are either Matrix Market "array complex general" (real general accepted
-on read; numpy.loadtxt parses the body, scipy.io.mmwrite writes it in scipy's
-decimal spelling) or a CSV grid with ';' between cells and ',' between the
+They are Matrix Market array files (written as "complex general" by
+scipy.io.mmwrite; read also as real, symmetric, skew-symmetric or hermitian,
+by numpy.loadtxt) or CSV grids with ';' between cells and ',' between the
 real and imaginary parts of each cell.
 """
 
@@ -111,14 +111,16 @@ def _read_mm_matrix(path: str) -> np.ndarray:
         if not first:
             raise ValueError(f"{path}: empty matrix file")
         header = first.strip().lower().split()
-        if (len(header) != 5 or header[0] != "%%matrixmarket"
-                or header[1] != "matrix" or header[2] != "array"
-                or header[3] not in ("complex", "real") or header[4] != "general"):
+        forms = [f"{f} {s}" for f in ("real", "complex") for s in
+                 ("general", "symmetric", "skew-symmetric")] + ["complex hermitian"]
+        if (len(header) != 5 or header[:3] != ["%%matrixmarket", "matrix", "array"]
+                or " ".join(header[3:]) not in forms):
             raise ValueError(
-                f"{path}:1: expected header '%%MatrixMarket matrix array "
-                f"complex general', got {first.strip()!r}"
+                f"{path}:1: expected header '%%MatrixMarket matrix array' and one "
+                f"of {', '.join(forms)}; got {first.strip()!r}"
             )
         width = 2 if header[3] == "complex" else 1
+        symmetry = header[4]
         for lineno, line in enumerate(fh, start=2):
             if line.strip() and not line.lstrip().startswith("%"):
                 break
@@ -129,9 +131,11 @@ def _read_mm_matrix(path: str) -> np.ndarray:
         if len(dims) != 2 or not all(d >= 0 and d.is_integer() for d in dims):
             raise ValueError(f"{path}:{lineno}: size line must be 'rows cols', "
                              f"two integers >= 0; got {line.strip()!r}")
-        nrows, ncols = map(int, dims)
-        if nrows != ncols:
-            raise ValueError(f"{path}: matrix is not square ({nrows}x{ncols})")
+        n, ncols = map(int, dims)
+        if n != ncols:
+            raise ValueError(f"{path}: matrix is not square ({n}x{ncols})")
+        skew = symmetry == "skew-symmetric"
+        count = n * n if symmetry == "general" else n * (n + 1) // 2 - skew * n
         # loadtxt reads a subset of what float() reads, to the same bits. It
         # fails on '%' lines and warns on an empty body; the scan takes both.
         try:
@@ -140,10 +144,19 @@ def _read_mm_matrix(path: str) -> np.ndarray:
                 vals = np.loadtxt(fh, comments=None, dtype=float, ndmin=2)
         except ValueError:
             vals = None
-    if vals is None or vals.shape != (nrows * ncols, width):
-        vals = _scan_mm_entries(path, lineno, nrows * ncols, width)
-    # Column-major; view(complex) keeps a -0.0 real part, re + 1j*im would not.
-    return (vals.view(complex) if width == 2 else vals)[:, 0].reshape(ncols, nrows).T
+    if vals is None or vals.shape != (count, width):
+        vals = _scan_mm_entries(path, lineno, count, width)
+    # view(complex) keeps a -0.0 real part, re + 1j*im would not
+    entries = (vals.view(complex) if width == 2 else vals)[:, 0]
+    if symmetry == "general":
+        return entries.reshape(n, n).T  # column-major
+    # the lower triangle by columns, mirrored first so the diagonal keeps its bits
+    cols, rows = np.triu_indices(n, int(skew))
+    M = np.zeros((n, n), dtype=entries.dtype)
+    mirror = entries.conj() if symmetry == "hermitian" else entries
+    M[cols, rows] = -mirror if skew else mirror
+    M[rows, cols] = entries
+    return M
 
 
 def _scan_mm_entries(path: str, start: int, count: int, width: int) -> np.ndarray:

@@ -53,8 +53,7 @@ from .linalg import (
     spectral_radius_estimate,
 )
 from . import linalg as _la
-from .zolofuncs import (ZoloParams, _check_type, _form_for, advance_alpha,
-                        pade_partial_fraction)
+from .zolofuncs import _check_type, _form_for, advance_alpha, pade_partial_fraction
 
 _EPS = 2.0 ** -53
 
@@ -118,25 +117,21 @@ class IterationOptions:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationState:
     """One iterate of a coupled method.
 
-    ``prev_change`` is the relative change that produced this state,
-    set by termination_check (inf before the first step); ``diag``
-    carries step byproducts: "zy_gap" = norm of the tilde-normalized
-    Z_k Y_k - I formed by a partial-fraction step, "x_inv_norm" and
-    "z_inv_norm" = norms of the X_k^{-1} and Y_k^{-1} that a
-    Denman-Beavers step inverted (X_0 is the scaled A, so the first step's
-    "x_inv_norm" is norm(A^{-1})), and "change" = the step change
-    recorded by termination_check.
+    ``diag`` carries step byproducts: "zy_gap" = norm of the
+    tilde-normalized Z_k Y_k - I formed by a partial-fraction step;
+    "z_inv_norm" = norm of the Y_k^{-1} that a Denman-Beavers step
+    inverted, and "a_inv_norm" = norm(A^{-1}), which its first step
+    records from the inverse of X_0 (the scaled A) and later steps carry.
     """
 
     Y: DenseMatrix
     Z: DenseMatrix
     alpha_k: float
     k: int
-    prev_change: float = math.inf
     diag: dict = field(default_factory=dict)
 
 
@@ -429,18 +424,18 @@ def _eye_start(st: IterationState) -> float | None:
     return None
 
 
-def zolo_step(st: IterationState, p: ZoloParams) -> IterationState:
-    """One coupled minimax step of type (p.m, p.ell): the partial-fraction
+def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
+    """One coupled minimax step of type (m, ell): the partial-fraction
     update with coefficients evaluated at the state's alpha_k.
 
-    p fixes the type; once alpha_k has been clamped to 1 the Pade limit
-    coefficients are substituted, so the step becomes pade_step without
-    determinantal scaling. The tilde-normalized gap is its byproduct.
+    Once alpha_k has been clamped to 1 the Pade limit coefficients are
+    substituted, so the step becomes pade_step without determinantal
+    scaling. The tilde-normalized gap is its byproduct.
     """
     alpha = st.alpha_k
-    Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(p.m, p.ell, alpha),
+    Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(m, ell, alpha),
                             _tilde_factor(alpha), st.k, _eye_start(st))
-    return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, p.m, p.ell),
+    return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, m, ell),
                           k=st.k + 1, diag=diag)
 
 
@@ -485,7 +480,9 @@ def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
     (FX, x_inv), (FY, y_inv) = _schedule(factor_and_invert, 2, n)
     if FX.singular or FY.singular:
         raise IterationAbortError(f"singular iterate at iteration {st.k + 1}")
-    diag = {"x_inv_norm": norm(x_inv), "z_inv_norm": norm(y_inv)}
+    # X_0 is the scaled A, so the first step has inverted A
+    a_inv = norm(x_inv) if st.k == 0 else st.diag.get("a_inv_norm")
+    diag = {"a_inv_norm": a_inv, "z_inv_norm": norm(y_inv)}
     g = _det_scale_factor(FX.det_log, FY.det_log, n) if det_scaling else 1.0
     ginv = 1.0 / g
     return IterationState(
@@ -504,28 +501,26 @@ def normalized_iterates(st: IterationState):
 
 
 def termination_check(st: IterationState, prev: IterationState,
-                      opts: IterationOptions, aux: dict) -> str:
+                      opts: IterationOptions, rel_prev: float = math.inf):
     """Decide {continue, accept, stagnate} for the newly produced state.
 
-    The step change norm(Yt_k - Yt_{k-1}) is computed here, once per
-    iteration, and recorded on st: diag["change"] and, relative to
-    norm(Yt_k), prev_change.
+    Returns (decision, change, rel): the step change
+    norm(Yt_k - Yt_{k-1}), computed here once per iteration, and rel =
+    change / norm(Yt_k). It reads st and prev and writes neither.
 
     Partial-fraction steps (minimax, pade) are accepted when the stored
     norm of Z_{k-1} Y_{k-1} - I (tilde-normalized) is at or below
     8 (delta/4)^(1/q); Denman-Beavers steps when norm(Yt_k - Yt_{k-1}) is
     at or below
     (delta norm(Yt_k) / (norm(A^{-1}) norm(Zt_{k-1}^{-1})))^(1/q),
-    with delta = u sqrt(n). Stagnation fires when the relative change
-    fails to halve while both the current and the previous relative
-    change sit at or below 1e-2; requiring the previous change to be
-    small as well keeps the window from opening on the very step that
-    first crosses 1e-2, where mid phase contraction ratios routinely
-    exceed 1/2 long before the iteration stalls. It needs prev.prev_change (the change at k-1, set
-    by the check on prev) and is therefore inactive before k = 2.
-    aux supplies norm(A^{-1}) as "a_inv_norm", which the driver takes
-    from the first step's "x_inv_norm"; the raw norm(Z_{k-1}^{-1}) is the
-    "z_inv_norm" the step stored in st.diag.
+    with delta = u sqrt(n), and norm(A^{-1}) and the raw
+    norm(Z_{k-1}^{-1}) read from st.diag ("a_inv_norm", "z_inv_norm").
+    Stagnation fires when rel fails to halve rel_prev, the relative
+    change at k-1, while both sit at or below 1e-2; requiring the
+    previous change to be small as well keeps the window from opening on
+    the very step that first crosses 1e-2, where mid phase contraction
+    ratios routinely exceed 1/2 long before the iteration stalls. With
+    rel_prev = inf, as before the first step, it is inactive.
     """
     delta = _EPS * math.sqrt(st.Y.shape[0])
     db = opts.method == "denman_beavers"
@@ -534,26 +529,22 @@ def termination_check(st: IterationState, prev: IterationState,
     yt = _tilde_factor(st.alpha_k) * st.Y
     change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y)
     size = norm(yt)
-    st.diag["change"] = change
-    st.prev_change = change / size if size > 0.0 else 0.0
+    rel = change / size if size > 0.0 else 0.0
 
     if not db:
         gap = st.diag.get("zy_gap")
-        if gap is not None and gap <= 8.0 * (delta / 4.0) ** (1.0 / q):
-            return "accept"
+        accept = gap is not None and gap <= 8.0 * (delta / 4.0) ** (1.0 / q)
     else:
-        z_inv = st.diag.get("z_inv_norm")
-        a_inv = aux.get("a_inv_norm")
-        if z_inv is not None and a_inv is not None:
+        z_inv, a_inv = st.diag.get("z_inv_norm"), st.diag.get("a_inv_norm")
+        accept = z_inv is not None and a_inv is not None
+        if accept:
             zt_inv = z_inv / _tilde_factor(prev.alpha_k)
-            bound = (delta * size / (a_inv * zt_inv)) ** (1.0 / q)
-            if change <= bound:
-                return "accept"
-
-    rel, rel_prev = st.prev_change, prev.prev_change
+            accept = change <= (delta * size / (a_inv * zt_inv)) ** (1.0 / q)
+    if accept:
+        return "accept", change, rel
     if size > 0.0 and rel_prev <= 1e-2 and 0.5 * rel_prev <= rel <= 1e-2:
-        return "stagnate"
-    return "continue"
+        return "stagnate", change, rel
+    return "continue", change, rel
 
 
 @_one_blas_thread()
@@ -584,35 +575,29 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     if FA.singular:
         raise SingularMatrixError("sqrtm_drive requires nonsingular A")
 
-    aux = {}
-    if opts.method == "zolotarev":
-        p = ZoloParams(opts.m, opts.ell, min(alpha, 1.0 - 1e-15))
     scaling_active = opts.method != "zolotarev"
-
     state = IterationState(Y=A_scaled.copy(), Z=np.eye(n, dtype=A_scaled.dtype),
                            alpha_k=alpha, k=0)
-    alpha_hist: list[float] = []
-    change_hist: list[float] = []
+    alpha_hist, change_hist = [], []
     reason = "max_iter"
+    rel = math.inf
 
     for _ in range(opts.max_iter):
         prev = state
         if opts.method == "zolotarev":
-            state = zolo_step(prev, p)
+            state = zolo_step(prev, opts.m, opts.ell)
         elif opts.method == "pade":
             state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
         else:
             state = db_step(prev, det_scaling=scaling_active)
-            # X_0 is the scaled A, so the first step inverted it
-            aux.setdefault("a_inv_norm", state.diag["x_inv_norm"])
-        decision = termination_check(state, prev, opts, aux)
+        decision, change, rel = termination_check(state, prev, opts, rel)
         alpha_hist.append(state.alpha_k)
-        change_hist.append(state.diag["change"])
-        if scaling_active and state.prev_change < 1e-2:
+        change_hist.append(change)
+        if scaling_active and rel < 1e-2:
             scaling_active = False
             # The first unscaled step absorbs a one-time renormalization
             # jump, so its change is not comparable to det-scaled ones.
-            state.prev_change = math.inf
+            rel = math.inf
         if decision == "accept":
             reason = "criterion_satisfied"
             break

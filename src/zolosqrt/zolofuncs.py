@@ -165,6 +165,7 @@ def _form_from_nodes(all_c: np.ndarray, m: int, ell: int,
 
 @lru_cache(maxsize=512)
 def _cached_form(m: int, ell: int, alpha: float) -> PartialFractionForm:
+    _check_type(m, ell)
     pair = ModulusPair.from_modulus(alpha)
     kp_total = agm_K(pair, "complement")  # K(alpha')
     j = np.arange(1, m + ell + 1, dtype=float)

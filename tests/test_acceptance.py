@@ -127,11 +127,10 @@ def test_05_hermitian_error_bound(announce):
     a_inv_sqrt = np.diag(1.0 / np.sqrt(d))
     st = IterationState(Y=A.copy(), Z=np.eye(n, dtype=complex),
                         alpha_k=alpha, k=0)
-    p = ZoloParams(4, 4, alpha)
     rho = rho_of(alpha)
     errs, bounds = [], [4.0 * rho ** -9, max(4.0 * rho ** -81, 1e3 * n * U)]
     for _ in range(2):
-        st = zolo_step(st, p)
+        st = zolo_step(st, 4, 4)
         t = 2.0 * st.alpha_k / (1.0 + st.alpha_k)
         X = inverse(lu_factor(st.Z))
         errs.append(float(np.linalg.norm(t * (X @ a_inv_sqrt) - np.eye(n), 2)))
@@ -255,7 +254,7 @@ def test_08a_scaled_newton_equivalence(announce):
     for _ in range(3):
         mu = math.sqrt(al)
         X = 0.5 * (mu * X + np.linalg.solve(X, A) / mu)
-        st = zolo_step(st, ZoloParams(1, 0, alpha))
+        st = zolo_step(st, 1, 0)
         al = st.alpha_k
         Zinv = inverse(lu_factor(st.Z))
         worst = max(worst, norm(Zinv - X, "inf") / norm(X, "inf"))

@@ -189,6 +189,63 @@ def test_mm_reads_what_float_reads(tmp_path):
     assert np.array_equal(read_matrix(p), np.array([[10.0]]))
 
 
+_MIRROR = {"symmetric": lambda z: z, "hermitian": np.conj, "skew-symmetric": np.negative}
+
+
+def _from_lower(lower, symmetry):
+    # fill the upper triangle entry by entry from the lower one
+    M = np.array(lower)
+    n = M.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i, j] = _MIRROR[symmetry](M[j, i])
+    return M
+
+
+@pytest.mark.parametrize("dtype, symmetry", [
+    (float, "symmetric"), (float, "skew-symmetric"), (complex, "symmetric"),
+    (complex, "hermitian"), (complex, "skew-symmetric")])
+def test_mm_reads_mmwrite_symmetric_forms_bit_for_bit(tmp_path, dtype, symmetry):
+    rng = np.random.default_rng(19)
+    n = 7
+    L = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        L.imag = rng.standard_normal((n, n))
+    for part in (L.real, L.imag) if dtype is complex else (L,):
+        part[1:5, 0] = [0.0, -0.0, 5e-324, -1.7976931348623157e308]
+        part[6, 2:4] = [-0.0, 0.0]
+    if symmetry != "symmetric":  # a zero or real diagonal
+        np.fill_diagonal(L, 0.0 if symmetry == "skew-symmetric" else np.diag(L).real)
+    M = _from_lower(np.tril(L), symmetry)
+    p = str(tmp_path / "s.mtx")
+    scipy.io.mmwrite(p, M, symmetry=symmetry)
+    field = "complex" if dtype is complex else "real"
+    with open(p, encoding="utf-8") as fh:
+        assert fh.readline() == f"%%MatrixMarket matrix array {field} {symmetry}\n"
+    back = read_matrix(p)
+    assert _same_bits(back, M.astype(complex))
+
+
+def test_mm_short_symmetric_body_names_the_triangle_count(tmp_path):
+    p = _write(tmp_path / "s.mtx",
+               "%%MatrixMarket matrix array real symmetric\n2 2\n4\n1\n")
+    with pytest.raises(ValueError, match="expected 3 entries, found 2"):
+        read_matrix(p)
+
+
+@pytest.mark.parametrize("header", ["matrix coordinate real symmetric",
+                                    "matrix array real hermitian",
+                                    "matrix array pattern general"])
+def test_mm_header_error_names_every_accepted_form(tmp_path, header):
+    p = _write(tmp_path / "bad.mtx", f"%%MatrixMarket {header}\n1 1\n1\n")
+    with pytest.raises(ValueError, match="header") as err:
+        read_matrix(p)
+    for form in ("real general", "real symmetric", "real skew-symmetric",
+                 "complex general", "complex symmetric", "complex skew-symmetric",
+                 "complex hermitian"):
+        assert form in str(err.value)
+
+
 def test_csv_rejects_nonsquare(tmp_path):
     p = _write(tmp_path / "rect.csv", "1,0;2,0;3,0\n4,0;5,0;6,0\n")
     with pytest.raises(ValueError, match="not square"):
@@ -252,6 +309,14 @@ def test_cmd_sqrtm_rotation(tmp_path, capsys):
     assert float(_stdout_field(capsys, "residual")) <= 1e-13
     want = math.sqrt(2.0) / 2.0 * np.array([[1.0, 1.0], [-1.0, 1.0]])
     assert np.max(np.abs(read_matrix(dst) - want)) <= 1e-13
+
+
+def test_cmd_sqrtm_reads_an_mmwrite_symmetric_file(tmp_path, capsys):
+    src = str(tmp_path / "s.mtx")
+    scipy.io.mmwrite(src, np.array([[4.0, 1.0], [1.0, 9.0]]))
+    assert main(["sqrtm", src, "-o", str(tmp_path / "y.mtx")]) == 0
+    X = read_matrix(str(tmp_path / "y.mtx"))
+    assert_allclose(X @ X, [[4.0, 1.0], [1.0, 9.0]], rtol=1e-13)
 
 
 def test_cmd_sqrtm_singular_input(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Coupled-iteration tests: stepping, termination, and the full driver."""
 
+import dataclasses
 import math
 import multiprocessing
 import queue as queue_module
@@ -33,15 +34,12 @@ from zolosqrt.zolofuncs import ZoloParams, rho_of, scalar_iterate
 U = 2.0 ** -53
 
 
-def _state(Y, Z=None, alpha=1.0, k=0, prev_change=math.inf, diag=None):
+def _state(Y, Z=None, alpha=1.0, k=0, diag=None):
     Y = np.asarray(Y, dtype=complex)
     if Z is None:
         Z = np.eye(Y.shape[0])
-    st = IterationState(Y=Y, Z=np.asarray(Z, dtype=complex), alpha_k=alpha, k=k,
-                        prev_change=prev_change)
-    if diag:
-        st.diag.update(diag)
-    return st
+    return IterationState(Y=Y, Z=np.asarray(Z, dtype=complex), alpha_k=alpha, k=k,
+                          diag=dict(diag or {}))
 
 
 def _spd(n, seed, shift=0.0):
@@ -164,7 +162,7 @@ def test_comparators_report_the_alpha_they_iterate_at(method):
 def test_zolo_step_fixed_point_identity():
     n = 3
     st = _state(np.eye(n), alpha=1.0 - 1e-8)
-    st1 = zolo_step(st, ZoloParams(2, 2, 1.0 - 1e-8))
+    st1 = zolo_step(st, 2, 2)
     t = (1.0 + st1.alpha_k) / (2.0 * st1.alpha_k)
     assert norm(t * t * (st1.Z @ st1.Y) - np.eye(n), "inf") <= 10 * n * U
     assert norm(st1.Y - inverse(lu_factor(st1.Z)), "inf") <= 10 * n * U
@@ -182,7 +180,7 @@ def test_zolo_step_newton_equivalence():
     for _ in range(3):
         mu = math.sqrt(al)
         X = 0.5 * (mu * X + np.linalg.solve(X, A) / mu)
-        st = zolo_step(st, ZoloParams(1, 0, alpha))
+        st = zolo_step(st, 1, 0)
         al = st.alpha_k
         Zinv = inverse(lu_factor(st.Z))
         assert norm(Zinv - X, "inf") / norm(X, "inf") <= 1e-13
@@ -193,7 +191,7 @@ def test_zolo_step_diagonal_follows_scalar():
     p = ZoloParams(2, 1, 0.3)
     st = _state(np.diag(zs), alpha=0.3)
     for k in (1, 2):
-        st = zolo_step(st, p)
+        st = zolo_step(st, 2, 1)
         for i, z in enumerate(zs):
             f = scalar_iterate(complex(z), p, k).values[k]
             assert complex(st.Y[i, i]) == pytest.approx(z / f, rel=1e-14)
@@ -207,7 +205,13 @@ def test_zolo_step_aborts_on_singular_shift():
     c = build_partial_fraction(ZoloParams(1, 0, 0.3)).shifts[0]
     st = _state(np.diag([-c, 1.0]), alpha=0.3)
     with pytest.raises(IterationAbortError):
-        zolo_step(st, ZoloParams(1, 0, 0.3))
+        zolo_step(st, 1, 0)
+
+
+@pytest.mark.parametrize("m, ell", [(3, 0), (0, 0), (2, 5)])
+def test_zolo_step_rejects_bad_type(m, ell):
+    with pytest.raises(ValueError, match="m="):
+        zolo_step(_state(np.eye(2), alpha=0.3), m, ell)
 
 
 # ---------------------------------------------------------------- pade_step
@@ -260,7 +264,7 @@ def test_pade_step_is_zolo_step_at_alpha_one(m, ell):
     Z = np.eye(6) + 0.05 * rng.standard_normal((6, 6))
     st = _state(Y, Z=Z, alpha=1.0, k=2)
     got = pade_step(st, m, ell)
-    want = zolo_step(st, ZoloParams(m, ell, 0.5))
+    want = zolo_step(st, m, ell)
     assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
     assert got.diag == want.diag
     assert got.alpha_k == want.alpha_k == 1.0
@@ -310,48 +314,67 @@ def test_termination_accept_at_fixed_point():
     # the change route, which only Denman-Beavers takes
     opts = IterationOptions(method="denman_beavers")
     prev = _state(np.eye(2), k=0)
-    st = _state(np.eye(2), k=1, diag={"z_inv_norm": 1.0})
-    aux = {"a_inv_norm": 1.0, "z_inv_norm": 1.0}
-    assert termination_check(st, prev, opts, aux) == "accept"
+    st = _state(np.eye(2), k=1, diag={"z_inv_norm": 1.0, "a_inv_norm": 1.0})
+    assert termination_check(st, prev, opts)[0] == "accept"
 
 
 def test_termination_accept_gap_route():
     opts = IterationOptions(method="pade", m=2, ell=1)
     prev = _state(np.eye(2), k=0)
     st = _state(np.eye(2), k=1, diag={"zy_gap": 0.0})
-    assert termination_check(st, prev, opts, {}) == "accept"
+    assert termination_check(st, prev, opts)[0] == "accept"
 
 
 def test_termination_continue_early():
     # large change, no usable history: the only decision is continue
     opts = IterationOptions(method="denman_beavers")
     prev = _state(np.eye(2), k=0)
-    st = _state(2.0 * np.eye(2), k=1, diag={"z_inv_norm": 1.0})
-    aux = {"a_inv_norm": 1.0, "z_inv_norm": 1.0}
-    assert termination_check(st, prev, opts, aux) == "continue"
+    st = _state(2.0 * np.eye(2), k=1, diag={"z_inv_norm": 1.0, "a_inv_norm": 1.0})
+    assert termination_check(st, prev, opts)[0] == "continue"
 
 
 def test_termination_stagnates_on_stalled_changes():
     # relative changes (1e-3, 9e-4): both small, second fails to halve
     opts = IterationOptions(method="zolotarev", m=2, ell=1)
-    prev = _state(np.eye(2), k=5, prev_change=1e-3)
+    prev = _state(np.eye(2), k=5)
     st = _state(np.eye(2) / (1.0 - 9e-4), k=6)
-    assert termination_check(st, prev, opts, {}) == "stagnate"
+    assert termination_check(st, prev, opts, rel_prev=1e-3)[0] == "stagnate"
 
 
 def test_termination_no_stagnation_without_arming():
     # same ratio but the previous change was still large: window closed
     opts = IterationOptions(method="zolotarev", m=2, ell=1)
-    prev = _state(np.eye(2), k=5, prev_change=0.1)
+    prev = _state(np.eye(2), k=5)
     st = _state(np.eye(2) / (1.0 - 9e-4), k=6)
-    assert termination_check(st, prev, opts, {}) == "continue"
+    assert termination_check(st, prev, opts, rel_prev=0.1)[0] == "continue"
 
 
 def test_termination_no_stagnation_before_history():
     opts = IterationOptions(method="zolotarev", m=2, ell=1)
-    prev = _state(np.eye(2), k=0)  # prev_change = inf
+    prev = _state(np.eye(2), k=0)
     st = _state(np.eye(2) / (1.0 - 9e-4), k=1)
-    assert termination_check(st, prev, opts, {}) == "continue"
+    assert termination_check(st, prev, opts, rel_prev=math.inf)[0] == "continue"
+
+
+@pytest.mark.parametrize("opts", [IterationOptions(method="denman_beavers"),
+                                  IterationOptions(m=2, ell=1)], ids=["DB", "Z"])
+def test_termination_check_writes_nothing(opts):
+    A = _spd(6, 9, shift=6.0)
+    A /= norm(A, "inf")
+    st1 = _state(A, alpha=0.3)
+    for _ in range(2):
+        prev, st1 = st1, (db_step(st1) if opts.method == "denman_beavers"
+                          else zolo_step(st1, opts.m, opts.ell))
+    before = (dict(prev.diag), dict(st1.diag))
+    first = termination_check(st1, prev, opts, rel_prev=1e-3)
+    assert termination_check(st1, prev, opts, rel_prev=1e-3) == first
+    assert (prev.diag, st1.diag) == before
+
+
+def test_iteration_state_is_frozen():
+    st = _state(np.eye(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.k = 1
 
 
 # ------------------------------------------------------------ normalization
@@ -515,6 +538,24 @@ def test_drive_denman_beavers_inverts_only_in_its_steps(monkeypatch):
     assert len(calls) == 2 * rep.iterations
 
 
+def test_drive_denman_beavers_states_carry_norm_of_a_inverse(monkeypatch):
+    # every state holds norm(A_s^{-1}) from the first step's inverse of X_0
+    states = []
+
+    def recorded(*args, _step=sqrtm_module.db_step, **kwargs):
+        states.append(_step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(sqrtm_module, "db_step", recorded)
+    A = _spd(12, 75, shift=1.0)
+    opts = IterationOptions(method="denman_beavers")
+    _, _, rep = sqrtm_drive(A, opts)
+    want = norm(inverse(lu_factor(prepare_problem(A, opts)[0].real)))
+    assert len(states) == rep.iterations >= 2
+    assert all(st.diag["a_inv_norm"] == want for st in states)
+    assert not any("x_inv_norm" in st.diag for st in states)
+
+
 _NO_ROOT = {"[[-4]]": np.array([[-4.0]]), "diag(-1, 4)": np.diag([-1.0, 4.0]),
             "diag(-1, -4)": np.diag([-1.0, -4.0])}
 _ALL_TYPES = _CHECKED + [IterationOptions(m=1, ell=0),
@@ -543,6 +584,32 @@ def test_drive_accepts_near_cut_input_only_at_a_small_residual(opts):
         return
     if rep.reason == "criterion_satisfied":
         assert rep.residual <= 1e-8
+
+
+def _scale_case(name):
+    from zolosqrt.corpus import gen_moler, gen_rank_one, gen_spd_logspectrum
+
+    return {"spdlog": lambda: gen_spd_logspectrum(32, 1e-3, seed=4),
+            "moler": lambda: gen_moler(12), "A1": lambda: gen_rank_one(16)}[name]().matrix
+
+
+# A1 at 4^249 overflows in the power loop. Z-(8,8) is left out: it gives
+# other bits, with equal step counts, on A1 at 4^-100 and on spdlog and
+# moler at 4^+-249 (ROADMAP item 1).
+@pytest.mark.parametrize("name, e", [(name, e) for name in ("spdlog", "moler", "A1")
+                                     for e in (100, -100, 249, -249)
+                                     if not (name == "A1" and abs(e) == 249)])
+@pytest.mark.parametrize("opts", [IterationOptions(method="pade"),
+                                  IterationOptions(method="pade", m=1, ell=0),
+                                  IterationOptions(method="denman_beavers")],
+                         ids=["P-(8,8)", "P-(1,0)", "DB"])
+def test_drive_comparators_are_exact_under_scaling_by_powers_of_four(opts, name, e):
+    A = _scale_case(name)
+    X, Xinv, rep = sqrtm_drive(A, opts)
+    Xs, Xinvs, reps = sqrtm_drive(4.0 ** e * A, opts)
+    assert np.array_equal(Xs, 2.0 ** e * X)
+    assert np.array_equal(Xinvs, 2.0 ** -e * Xinv)
+    assert reps.iterations == rep.iterations
 
 
 @pytest.mark.parametrize("opts", _CHECKED[1:] + [IterationOptions(alpha_override=0.5)],
@@ -605,11 +672,10 @@ def test_drive_order_of_convergence():
     A = 0.5 * (A + A.T)
     Ais = (q * d ** -0.5) @ q.T
     for m, ell, C in [(1, 0, 0.5), (2, 1, 1.0)]:
-        p = ZoloParams(m, ell, alpha)
         st = _state(A, alpha=alpha)
         errs = []
         for _ in range(3):
-            st = zolo_step(st, p)
+            st = zolo_step(st, m, ell)
             t = 2.0 * st.alpha_k / (1.0 + st.alpha_k)
             X = inverse(lu_factor(st.Z))
             errs.append(np.linalg.norm(t * (X @ Ais) - np.eye(n), 2))
@@ -634,7 +700,7 @@ def test_drive_hermitian_error_bound():
     rho = rho_of(alpha)
     st = _state(A, alpha=alpha)
     for k in (1, 2, 3):
-        st = zolo_step(st, ZoloParams(1, 0, alpha))
+        st = zolo_step(st, 1, 0)
         t = 2.0 * st.alpha_k / (1.0 + st.alpha_k)
         X = inverse(lu_factor(st.Z))
         e = np.linalg.norm(t * (X @ Ais) - np.eye(n), 2)
@@ -815,7 +881,7 @@ def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("step", [
-    lambda st: zolo_step(st, ZoloParams(8, 8, 0.01)),
+    lambda st: zolo_step(st, 8, 8),
     lambda st: pade_step(st, 8, 8, det_scaling=True),
 ], ids=["zolo-full", "pade-det"])
 def test_start_state_skips_identity_work_with_same_values(monkeypatch, step):
