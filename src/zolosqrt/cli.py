@@ -253,10 +253,10 @@ def cmd_coeffs(cfg) -> int:
 
 
 def _parse_grid(text: str):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"grid must be 'NRxNTHETA', got {text!r}")
-    n_r, n_theta = int(parts[0]), int(parts[1])
+    try:
+        n_r, n_theta = map(int, text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"grid must be 'NRxNTHETA', got {text!r}") from None
     if n_r < 1 or n_theta < 1:
         raise ValueError("grid dimensions must be positive")
     return n_r, n_theta

@@ -2,16 +2,16 @@
 
 The driver scales A by a power-iteration estimate of its spectral
 radius, factors the scaled A once to check it is nonsingular, and runs
-one of three methods. The minimax iteration and the Pade comparator
-share one partial-fraction update, Y' = Y h(Z Y), Z' = h(Z Y) Z, with
-h's coefficients taken at alpha_k; Pade is its alpha = 1 case, plus
-determinantal scaling in its early steps. Denman-Beavers is the third
-method. Only the minimax method reads alpha, from the exact extreme
-eigenvalue moduli; the comparators run and report alpha = 1. States
-carry Y_k -> A^{1/2} and Z_k -> A^{-1/2} (for Denman-Beavers the pair
-(X_k, Y_k) lives in the same two slots). On real input every iterate is
-real, and all but Pade run in float64; Pade stays in complex128 for its
-A1/P-(1,0) cell of acceptance 7b. Every method returns complex128.
+one of three methods. zolo_step is the one partial-fraction step,
+Y' = Y h(Z Y), Z' = h(Z Y) Z, with h's coefficients taken at alpha_k;
+pade_step is determinantal scaling (in its early steps) followed by
+zolo_step at alpha = 1. Denman-Beavers is the third method. Only the
+minimax method reads alpha, from the exact extreme eigenvalue moduli;
+the comparators run and report alpha = 1. States carry Y_k -> A^{1/2}
+and Z_k -> A^{-1/2} (for Denman-Beavers the pair (X_k, Y_k) lives in
+the same two slots). On real input every iterate is real, and all but
+Pade run in float64; Pade stays in complex128 for its A1/P-(1,0) cell
+of acceptance 7b. Every method returns complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
@@ -36,7 +36,7 @@ import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -53,7 +53,9 @@ from .linalg import (
     spectral_radius_estimate,
 )
 from . import linalg as _la
-from .zolofuncs import _check_type, _form_for, advance_alpha, pade_partial_fraction
+from .zolofuncs import _check_type, _form_for, _is_int, advance_alpha
+# bound only so that the benchmark's tracer can rebind it
+from .zolofuncs import pade_partial_fraction  # noqa: F401
 
 _EPS = 2.0 ** -53
 
@@ -113,8 +115,10 @@ class IterationOptions:
                 _ALPHA_CLAMP[0] <= self.alpha_override <= 1.0):
             raise ValueError(f"alpha_override={self.alpha_override!r} outside "
                              f"[{_ALPHA_CLAMP[0]:g}, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not _is_int(self.max_iter) or self.max_iter < 1:
+            raise ValueError(f"max_iter={self.max_iter!r} must be a positive integer")
+        # numpy integers solve as the Python ints they equal
+        self.m, self.ell, self.max_iter = int(self.m), int(self.ell), int(self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -351,47 +355,40 @@ def _matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
     return C
 
 
-def _reduce(residues, pairs):
-    """(sum_j residues[j] * a_j, sum_j residues[j] * b_j) over the pairs
-    (a_j, b_j), summed in shift order from 0 as the builtin sum does."""
-    y = z = 0
-    for (a, b), r in zip(pairs, residues, strict=True):
-        y = y + r * a
-        z = z + r * b
-    return y, z
-
-
 def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
-def _pf_update(Y, Z, pf, t: float, k: int, z_eye: float | None = None):
-    """The partial-fraction update Y' = Y h(Z Y), Z' = h(Z Y) Z with
-    h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])).
+def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
+    """One coupled minimax step of type (m, ell): the partial-fraction
+    update Y' = Y h(Z Y), Z' = h(Z Y) Z with
+    h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])) and pf
+    taken at the state's alpha_k; at alpha_k = 1 that is the Pade limit.
 
-    Factors Z Y + c_j I and records the gap norm(t^2 Z Y - I) with t the
-    tilde factor. k indexes the state being advanced.
-
-    z_eye, when given, says Z = z_eye * I exactly, as in the driver's start
-    state: Z Y is then formed as z_eye * Y. A product by an exact scaled
-    identity changes at most the sign of a zero, so the values are those
-    of the product.
-
-    The m shifted systems are independent and run on the scheduler, one
-    task each; a single system splits into its two solves instead.
+    Factors Z Y + c_j I and records the gap norm(t^2 Z Y - I), with t the
+    tilde factor. The m shifted systems run on the scheduler, one task
+    each (a single system splits into its two solves), and the residues
+    are summed in shift order from 0.
     """
-    shifts, residues = pf.shifts, pf.residues
-    m, n = len(shifts), Y.shape[0]
+    alpha, Y, Z = st.alpha_k, st.Y, st.Z
+    pf = _form_for(m, ell, alpha)
+    n = Y.shape[0]
     eye = np.eye(n, dtype=np.result_type(Y, Z))
-    P = _matmul(Z, Y) if z_eye is None else z_eye * Y
-    diag = {"zy_gap": norm(t ** 2 * P - eye)}
+    # k = 0 and Z exactly c*I, so Z Y = c*Y: a product by an exact scaled
+    # identity changes at most the sign of a zero
+    c = Z[0, 0]
+    if st.k == 0 and c != 0 and np.count_nonzero(Z) == n and (Z.diagonal() == c).all():
+        P = c * Y
+    else:
+        P = _matmul(Z, Y)
+    diag = {"zy_gap": norm(_tilde_factor(alpha) ** 2 * P - eye)}
 
     def factor(j: int):
-        F = lu_factor(P + shifts[j] * eye)
+        F = lu_factor(P + pf.shifts[j] * eye)
         if F.singular:
             raise IterationAbortError(
-                f"singular shifted system at iteration {k + 1}, "
-                f"shift {j + 1} (c = {shifts[j]:.6g})"
+                f"singular shifted system at iteration {st.k + 1}, "
+                f"shift {j + 1} (c = {pf.shifts[j]:.6g})"
             )
         return F
 
@@ -410,33 +407,14 @@ def _pf_update(Y, Z, pf, t: float, k: int, z_eye: float | None = None):
         pairs = [tuple(_schedule(lambda i: (right, other)[i](F), 2, n))]
     else:
         pairs = _schedule(shifted_pair, m, n)
-    y_new, z_new = _reduce(residues, pairs)
+    y_new = z_new = 0
+    for (a, b), r in zip(pairs, pf.residues, strict=True):
+        y_new = y_new + r * a
+        z_new = z_new + r * b
     if pf.has_constant_term:
-        y_new = Y + y_new
-        z_new = Z + z_new
-    return pf.scale * y_new, pf.scale * z_new, diag
-
-
-def _eye_start(st: IterationState) -> float | None:
-    """1.0 when st is a start state (k = 0) whose Z is exactly I, else None."""
-    if st.k == 0 and np.array_equal(st.Z, np.eye(st.Z.shape[0])):
-        return 1.0
-    return None
-
-
-def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
-    """One coupled minimax step of type (m, ell): the partial-fraction
-    update with coefficients evaluated at the state's alpha_k.
-
-    Once alpha_k has been clamped to 1 the Pade limit coefficients are
-    substituted, so the step becomes pade_step without determinantal
-    scaling. The tilde-normalized gap is its byproduct.
-    """
-    alpha = st.alpha_k
-    Y, Z, diag = _pf_update(st.Y, st.Z, _form_for(m, ell, alpha),
-                            _tilde_factor(alpha), st.k, _eye_start(st))
-    return IterationState(Y=Y, Z=Z, alpha_k=advance_alpha(alpha, m, ell),
-                          k=st.k + 1, diag=diag)
+        y_new, z_new = Y + y_new, Z + z_new
+    return IterationState(Y=pf.scale * y_new, Z=pf.scale * z_new,
+                          alpha_k=advance_alpha(alpha, m, ell), k=st.k + 1, diag=diag)
 
 
 def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
@@ -445,11 +423,10 @@ def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
 
 def pade_step(st: IterationState, m: int, ell: int,
               det_scaling: bool = False) -> IterationState:
-    """One fixed-coefficient comparator step: the partial-fraction
-    update at alpha = 1 (the Pade limit coefficients), optionally with
-    determinantal scaling of Y and Z before the update."""
+    """One fixed-coefficient comparator step: optional determinantal
+    scaling of Y and Z, then zolo_step at alpha = 1, whose coefficients
+    are the Pade limit's and whose tilde factor is 1."""
     Y, Z = st.Y, st.Z
-    z_eye = _eye_start(st)
     if det_scaling:
         # the two factorizations are independent tasks
         FY, FZ = _schedule(lambda j: lu_factor((Y, Z)[j]), 2, Y.shape[0])
@@ -459,10 +436,7 @@ def pade_step(st: IterationState, m: int, ell: int,
             )
         g = _det_scale_factor(FY.det_log, FZ.det_log, Y.shape[0])
         Y, Z = g * Y, g * Z
-        if z_eye is not None:
-            z_eye = g
-    Y, Z, diag = _pf_update(Y, Z, pade_partial_fraction(m, ell), 1.0, st.k, z_eye)
-    return IterationState(Y=Y, Z=Z, alpha_k=1.0, k=st.k + 1, diag=diag)
+    return zolo_step(replace(st, Y=Y, Z=Z, alpha_k=1.0), m, ell)
 
 
 def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -61,10 +62,17 @@ class BranchCutError(ValueError):
     """Argument on the branch cut (-inf, 0] of the principal square root."""
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer, numpy's included; bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_type(m: int, ell: int) -> None:
     """Raise unless m is a positive integer and ell is m - 1 or m."""
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"m={m!r} must be a positive integer")
+    if not _is_int(ell):
+        raise ValueError(f"ell={ell!r} must be an integer")
     if ell not in (m - 1, m):
         raise ValueError(f"ell={ell!r} not in {{m-1, m}} for m={m}")
 

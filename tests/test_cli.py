@@ -503,6 +503,10 @@ def test_cmd_contour_validation(capsys):
     assert main(["contour", "--m", "1", "--ell", "0", "--alpha", "0.5",
                  "--grid", "9"]) == 1
     assert "grid" in capsys.readouterr().err
+    for grid in ("3x", "ax3", "3x4.5"):
+        assert main(["contour", "--m", "1", "--ell", "0", "--alpha", "0.5",
+                     "--grid", grid]) == 1
+        assert "grid must be 'NRxNTHETA'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["zolotarev", "pade"])

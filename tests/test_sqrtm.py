@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from zolosqrt import linalg as linalg_module
 from zolosqrt import sqrtm as sqrtm_module
+from zolosqrt.corpus import method_label
 from zolosqrt.linalg import SingularMatrixError, inverse, lu_factor, norm
 from zolosqrt.sqrtm import (
     ConvergenceReport,
@@ -67,11 +68,28 @@ def test_options_reject_bad_type():
         IterationOptions(form="sideways")
     with pytest.raises(ValueError, match="'full'"):
         IterationOptions(form="alt")
+    with pytest.raises(ValueError, match="ell=8.0"):
+        IterationOptions(ell=8.0)
+    with pytest.raises(ValueError, match="m=True"):
+        IterationOptions(m=True, ell=True)
 
 
 def test_options_reject_bad_tolerances():
     with pytest.raises(ValueError):
         IterationOptions(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter=2.5"):
+        IterationOptions(max_iter=2.5)
+
+
+def test_options_accept_numpy_integers():
+    # a numpy integer type solves as the Python int it equals
+    A = _spd(8, 3, shift=8.0)
+    opts = IterationOptions(m=np.int64(2), ell=1)
+    assert method_label(opts) == "Z-(2,1)"
+    X, Xinv, report = sqrtm_drive(A, opts)
+    X2, Xinv2, report2 = sqrtm_drive(A, IterationOptions(m=2, ell=1))
+    assert np.array_equal(X, X2) and np.array_equal(Xinv, Xinv2)
+    assert report == report2
 
 
 def test_options_alpha_override_range():
@@ -268,6 +286,19 @@ def test_pade_step_is_zolo_step_at_alpha_one(m, ell):
     assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
     assert got.diag == want.diag
     assert got.alpha_k == want.alpha_k == 1.0
+
+
+@pytest.mark.parametrize("m, ell", [(1, 0), (8, 8)])
+def test_pade_step_ignores_the_states_alpha(m, ell):
+    # the comparator steps at alpha = 1 whatever alpha_k the state carries
+    rng = np.random.default_rng(3 * m + ell)
+    Y = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    Z = np.eye(6) + 0.05 * rng.standard_normal((6, 6))
+    got = pade_step(_state(Y, Z=Z, alpha=0.3, k=2), m, ell)
+    want = pade_step(_state(Y, Z=Z, alpha=1.0, k=2), m, ell)
+    assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
+    assert got.diag == want.diag
+    assert got.alpha_k == 1.0
 
 
 def test_pade_step_aborts_on_singular_shift():
@@ -883,10 +914,11 @@ def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
 @pytest.mark.parametrize("step", [
     lambda st: zolo_step(st, 8, 8),
     lambda st: pade_step(st, 8, 8, det_scaling=True),
-], ids=["zolo-full", "pade-det"])
+    lambda st: zolo_step(dataclasses.replace(st, Z=0.5 * st.Z), 8, 8),
+], ids=["zolo-full", "pade-det", "zolo-scaled-identity"])
 def test_start_state_skips_identity_work_with_same_values(monkeypatch, step):
-    # a start state (k = 0, Z = I) skips the product by its identity Z;
-    # a later state with the same Z does it
+    # a start state (k = 0, Z = c*I) skips the product by its scaled
+    # identity Z; a later state with the same Z does it
     calls = []
 
     def counted(fn):
@@ -905,6 +937,16 @@ def test_start_state_skips_identity_work_with_same_values(monkeypatch, step):
     assert start_calls < len(calls) - start_calls
     assert np.array_equal(start.Y, later.Y) and np.array_equal(start.Z, later.Z)
     assert start.diag == later.diag
+
+
+def test_start_state_with_zero_diagonal_z_forms_the_product():
+    # a permutation Z has n nonzeros and a constant (zero) diagonal, but it
+    # is no scaled identity, so a start state forms Z Y as a later one does
+    A = _spd(6, 62, shift=6.0)
+    Z = np.roll(np.eye(6), 1, axis=1)
+    start = zolo_step(_state(A, Z=Z, alpha=0.5, k=0), 2, 1)
+    later = zolo_step(_state(A, Z=Z, alpha=0.5, k=1), 2, 1)
+    assert np.array_equal(start.Y, later.Y) and np.array_equal(start.Z, later.Z)
 
 
 def test_drive_holds_blas_at_one_thread():
