@@ -11,6 +11,7 @@ of |lambda|_max, and the exact extreme moduli from LAPACK's eigenvalues."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -161,14 +162,23 @@ def norm(A: DenseMatrix, kind: str = "inf") -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+@functools.cache
+def _power_start(n: int) -> np.ndarray:
+    """The power loop's seeded unit start vector of order n, built once
+    and read-only, since every call shares it."""
+    rng = np.random.default_rng(_POWER_SEED)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def spectral_radius_estimate(A: DenseMatrix) -> float:
     """|lambda|_max estimate: complex power iteration from a seeded unit
     vector v, estimating by norm(A v_k). Relative tolerance 1e-3, at most
     200 iterations; whatever it reached is returned."""
     A = np.asarray(A, dtype=complex)
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
-    v = v / np.linalg.norm(v)
+    v = _power_start(A.shape[0])
     est = 0.0
     for _ in range(200):
         w = A @ v

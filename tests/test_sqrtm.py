@@ -1,5 +1,6 @@
 """Coupled-iteration tests: stepping, termination, and the full driver."""
 
+import collections
 import dataclasses
 import math
 import multiprocessing
@@ -30,7 +31,7 @@ from zolosqrt.sqrtm import (
     termination_check,
     zolo_step,
 )
-from zolosqrt.zolofuncs import ZoloParams, rho_of, scalar_iterate
+from zolosqrt.zolofuncs import ZoloParams, _form_for, rho_of, scalar_iterate
 
 U = 2.0 ** -53
 
@@ -947,6 +948,72 @@ def test_start_state_with_zero_diagonal_z_forms_the_product():
     start = zolo_step(_state(A, Z=Z, alpha=0.5, k=0), 2, 1)
     later = zolo_step(_state(A, Z=Z, alpha=0.5, k=1), 2, 1)
     assert np.array_equal(start.Y, later.Y) and np.array_equal(start.Z, later.Z)
+
+
+def _step_by_shifted_solves(st, m, ell):
+    # the update as m right and m left solves, one pair per shifted system
+    pf = _form_for(m, ell, st.alpha_k)
+    P = st.Z @ st.Y
+    eye = np.eye(P.shape[0])
+    y_sum = z_sum = 0
+    for c, r in zip(pf.shifts, pf.residues, strict=True):
+        F = lu_factor(P + c * eye)
+        y_sum = y_sum + r * linalg_module.solve(F, st.Y, side="right")
+        z_sum = z_sum + r * linalg_module.solve(F, st.Z, side="left")
+    if pf.has_constant_term:
+        y_sum, z_sum = st.Y + y_sum, st.Z + z_sum
+    return pf.scale * y_sum, pf.scale * z_sum
+
+
+@pytest.mark.parametrize("n", [12, ODD_N])
+@pytest.mark.parametrize("m, ell", [(2, 1), (2, 2), (8, 8)])
+def test_zolo_step_forms_h_once_as_the_shifted_solves_would(monkeypatch, m, ell, n):
+    # Y h(P) and h(P) Z from the inverses match the 2m shifted solves, with
+    # (ell = m) and without a constant term, real and complex, on the pool
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    rng = np.random.default_rng(n + m + ell)
+    mats = (_spd(n, 63, shift=1.0),
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + n * np.eye(n))
+    for A in mats:
+        A_s, _, alpha = prepare_problem(A, IterationOptions(m=m, ell=ell))
+        if not np.any(A_s.imag):
+            A_s = A_s.real
+        start = IterationState(Y=A_s, Z=np.eye(n, dtype=A_s.dtype), alpha_k=alpha, k=0)
+        for st in (start, zolo_step(start, m, ell)):
+            want_y, want_z = _step_by_shifted_solves(st, m, ell)
+            got = zolo_step(st, m, ell)
+            assert norm(got.Y - want_y) <= 1e-13 * norm(want_y)
+            assert norm(got.Z - want_z) <= 1e-13 * norm(want_z)
+
+
+@pytest.mark.parametrize("m, ell", [(1, 0), (1, 1), (2, 1), (8, 8)])
+def test_zolo_step_linear_algebra_calls(monkeypatch, m, ell):
+    # m >= 2: m factorizations and inverses, then Y h(P) and h(P) Z; one
+    # shifted system: a factorization and its two solves. A start state
+    # forms neither Z Y nor h(P) Z as a product
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in ((sqrtm_module, "lu_factor"), (sqrtm_module, "inverse"),
+                         (sqrtm_module, "matmul"), (linalg_module, "solve")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    A = _spd(12, 64, shift=1.0)
+    A /= norm(A)
+    products = {}
+    for k in (0, 1):
+        calls.clear()
+        zolo_step(_state(A, alpha=0.1, k=k), m, ell)
+        products[k] = calls.pop("matmul", 0)
+        if m == 1:
+            assert calls == {"lu_factor": 1, "solve": 2}
+        else:
+            assert calls == {"lu_factor": m, "inverse": m}
+    assert products == ({0: 0, 1: 1} if m == 1 else {0: 1, 1: 3})
 
 
 def test_drive_holds_blas_at_one_thread():
