@@ -5,9 +5,10 @@ its solves call LAPACK directly, dispatching on dtype: dgetrf/dgetrs
 when every operand is float64, zgetrf/zgetrs otherwise (a real factor
 solving a complex right-hand side is promoted to complex). Singularity
 is a flag on the factor object, never an exception or warning, so
-callers decide how hard to fail. log|det A|, which cannot overflow, is
-computed from the factor on access. Spectra: a power-iteration estimate
-of |lambda|_max, and the exact extreme moduli from LAPACK's eigenvalues."""
+callers decide how hard to fail; it is the one test of "singular".
+log|det A|, which cannot overflow, is computed from the factor on
+access. Spectra: a power-iteration estimate of |lambda|_max, and the
+exact extreme moduli from LAPACK's eigenvalues."""
 
 from __future__ import annotations
 
@@ -196,13 +197,14 @@ def spectral_radius_estimate(A: DenseMatrix) -> float:
 def extreme_eigen_moduli(A: DenseMatrix) -> SpectralExtremes:
     """Exact (|lambda|_min, |lambda|_max): eigvalsh when A is exactly
     Hermitian (it reads one triangle), else eigvals, on the real part of
-    real A. Raises when |lambda|_min <= n*u*norm(A, inf), lu_factor's flag."""
+    real A. Raises only on an exact zero modulus; a tiny |lambda|_min is
+    reported as it is, for lu_factor's flag alone decides "singular"."""
     A = np.asarray(A)
     if not np.any(A.imag):
         A = A.real
     eig = np.linalg.eigvalsh if np.array_equal(A, A.conj().T) else np.linalg.eigvals
     moduli = np.abs(eig(A))
     lo, hi = float(np.min(moduli)), float(np.max(moduli))
-    if lo <= A.shape[0] * _EPS * norm(A):
+    if lo == 0.0:
         raise SingularMatrixError("extreme_eigen_moduli requires nonsingular A")
     return SpectralExtremes(lo=lo, hi=hi)

@@ -161,9 +161,9 @@ def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     Returns (A_scaled, s, alpha) with s the power-iteration estimate of
     |lambda|_max. The comparators get alpha = 1, the value they run at;
     the minimax method gets opts.alpha_override verbatim, else
-    clamp(sqrt(|lambda|_min / |lambda|_max)) from the eigenvalues. A
-    singular A raises here when s or |lambda|_min shows it, else in the
-    driver, which checks its factor of A_scaled.
+    clamp(sqrt(|lambda|_min / |lambda|_max)) from the eigenvalues. Only
+    an exact zero (s, or an eigenvalue modulus) raises here; whether A is
+    singular is the flag of the driver's factor of A_scaled to decide.
     """
     A = np.asarray(A, dtype=complex)
     s = spectral_radius_estimate(A)
@@ -359,6 +359,15 @@ def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
+def _factor(M: DenseMatrix, what) -> _la.LUFactors:
+    """lu_factor(M), aborting the step on a singular factor; what() builds
+    the abort message, so only a singular factor pays for it."""
+    F = lu_factor(M)
+    if F.singular:
+        raise IterationAbortError(what())
+    return F
+
+
 def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     """One coupled minimax step of type (m, ell): the partial-fraction
     update Y' = Y h(Z Y), Z' = h(Z Y) Z with
@@ -386,13 +395,8 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     diag = {"zy_gap": norm(_tilde_factor(alpha) ** 2 * P - eye)}
 
     def factor(j: int):
-        F = lu_factor(P + pf.shifts[j] * eye)
-        if F.singular:
-            raise IterationAbortError(
-                f"singular shifted system at iteration {st.k + 1}, "
-                f"shift {j + 1} (c = {pf.shifts[j]:.6g})"
-            )
-        return F
+        return _factor(P + pf.shifts[j] * eye, lambda: f"singular shifted system at "
+                       f"iteration {st.k + 1}, shift {j + 1} (c = {pf.shifts[j]:.6g})")
 
     if m == 1:
         F = factor(0)
@@ -428,11 +432,8 @@ def pade_step(st: IterationState, m: int, ell: int,
     Y, Z = st.Y, st.Z
     if det_scaling:
         # the two factorizations are independent tasks
-        FY, FZ = _schedule(lambda j: lu_factor((Y, Z)[j]), 2, Y.shape[0])
-        if FY.singular or FZ.singular:
-            raise IterationAbortError(
-                f"singular iterate at iteration {st.k + 1} (determinant scaling)"
-            )
+        FY, FZ = _schedule(lambda j: _factor((Y, Z)[j], lambda: f"singular iterate at "
+                           f"iteration {st.k + 1} (determinant scaling)"), 2, Y.shape[0])
         g = _det_scale_factor(FY.det_log, FZ.det_log, Y.shape[0])
         Y, Z = g * Y, g * Z
     return zolo_step(replace(st, Y=Y, Z=Z, alpha_k=1.0), m, ell)
@@ -447,12 +448,10 @@ def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
     n = X.shape[0]
 
     def factor_and_invert(j: int):
-        F = lu_factor((X, Ydb)[j])
-        return F, None if F.singular else inverse(F)
+        F = _factor((X, Ydb)[j], lambda: f"singular iterate at iteration {st.k + 1}")
+        return F, inverse(F)
 
     (FX, x_inv), (FY, y_inv) = _schedule(factor_and_invert, 2, n)
-    if FX.singular or FY.singular:
-        raise IterationAbortError(f"singular iterate at iteration {st.k + 1}")
     # X_0 is the scaled A, so the first step has inverted A
     a_inv = norm(x_inv) if st.k == 0 else st.diag.get("a_inv_norm")
     diag = {"a_inv_norm": a_inv, "z_inv_norm": norm(y_inv)}

@@ -8,9 +8,10 @@ conformal annulus map phi, the iteration-count estimator kappa, the
 Pade (alpha -> 1) limits, the equioscillation nodes, and a scalar
 iteration tracer.
 
-Coefficients are cached per (m, ell, alpha) with alpha keyed at full
-precision; all functions are pure and the cache is safe for concurrent
-use.
+Coefficients come from one builder, cached per (m, ell, alpha) with
+alpha keyed at full precision: Jacobi nodes below alpha = 1 and the Pade
+tan^2 nodes at alpha = 1. All functions are pure and the cache is safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -172,36 +173,35 @@ def _form_from_nodes(all_c: np.ndarray, m: int, ell: int,
 
 
 @lru_cache(maxsize=512)
-def _cached_form(m: int, ell: int, alpha: float) -> PartialFractionForm:
+def _form_for(m: int, ell: int, alpha: float) -> PartialFractionForm:
+    """Coefficients of h for the type-(m, ell) approximant at alpha, the
+    one cached builder.
+
+    Below alpha = 1 the nodes are c_j = (alpha * sn/cn)^2 at arguments
+    j K(alpha')/(m+ell+1) with modulus alpha'. At alpha >= 1 they are the
+    Pade limit's tan^2(j pi / (2(m+ell+1))), and the first minimum moves
+    to z = 1. Residues come from the product formula; the scale makes
+    rhat touch sqrt(z) from above on [alpha^2, 1] (minimum normalization
+    for ell = m-1, value 1 at z = 1 for ell = m).
+    """
     _check_type(m, ell)
+    j = np.arange(1, m + ell + 1, dtype=float)
+    if alpha >= 1.0:
+        return _form_from_nodes(np.tan(j * math.pi / (2 * (m + ell + 1))) ** 2, m, ell, 1.0)
     pair = ModulusPair.from_modulus(alpha)
     kp_total = agm_K(pair, "complement")  # K(alpha')
-    j = np.arange(1, m + ell + 1, dtype=float)
     sn, cn, dn = jacobi_scd(j * kp_total / (m + ell + 1), pair.swapped)
     return _form_from_nodes((alpha * sn / cn) ** 2, m, ell, (alpha / dn[0]) ** 2)
 
 
 def build_partial_fraction(p: ZoloParams) -> PartialFractionForm:
-    """Coefficients of h for the type-(m, ell) approximant at p.alpha.
-
-    The nodes are c_j = (alpha * sn/cn)^2 at arguments j K(alpha')/(m+ell+1)
-    with modulus alpha'; residues come from the product formula; the
-    scale makes rhat touch sqrt(z) from above on [alpha^2, 1] (minimum
-    normalization for ell = m-1, value 1 at z = 1 for ell = m).
-    """
-    return _cached_form(p.m, p.ell, p.alpha)
+    """Coefficients of h for the type-(m, ell) approximant at p.alpha."""
+    return _form_for(p.m, p.ell, p.alpha)
 
 
-@lru_cache(maxsize=128)
 def pade_partial_fraction(m: int, ell: int) -> PartialFractionForm:
-    """The alpha -> 1 limit of build_partial_fraction.
-
-    Nodes become tan^2(j pi / (2(m+ell+1))) and the first minimum moves
-    to z = 1, so the approximant takes the value 1 at z = 1.
-    """
-    _check_type(m, ell)
-    j = np.arange(1, m + ell + 1, dtype=float)
-    return _form_from_nodes(np.tan(j * math.pi / (2 * (m + ell + 1))) ** 2, m, ell, 1.0)
+    """The alpha -> 1 limit of build_partial_fraction."""
+    return _form_for(m, ell, 1.0)
 
 
 def eval_h(pf: PartialFractionForm, z):
@@ -229,13 +229,6 @@ def _eval_h_real(pf: PartialFractionForm, z: float) -> float:
     if pf.has_constant_term:
         s += 1.0
     return pf.scale * s
-
-
-def _form_for(m: int, ell: int, alpha: float) -> PartialFractionForm:
-    # alpha == 1.0 switches to the Pade limit coefficients
-    if alpha >= 1.0:
-        return pade_partial_fraction(m, ell)
-    return _cached_form(m, ell, alpha)
 
 
 def eval_rhat(p: ZoloParams, z):

@@ -282,7 +282,7 @@ def test_08c_minimax_vs_db_agreement(announce):
 @pytest.mark.xfail(
     strict=True,
     reason="on chebvand the two methods land on roots differing by "
-           "~2.1e-7 relative (kappa2 ~ 7e10 amplifies their different "
+           "~1.2e-7 relative (kappa2 ~ 7e10 amplifies their different "
            "rounding paths) against the 1e-8 agreement contract",
 )
 def test_08d_minimax_vs_db_chebvand(announce):

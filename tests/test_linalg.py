@@ -233,6 +233,12 @@ def test_extremes_reject_singular():
         extreme_eigen_moduli(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("tiny", [1e-17, 1e-300])
+def test_extremes_report_a_tiny_modulus(tiny):
+    # only an exact zero raises; lu_factor's flag decides "singular"
+    assert extreme_eigen_moduli(np.diag([tiny, 1.0])) == (tiny, 1.0)
+
+
 def _eigen_cases():
     # (A, the LAPACK driver it takes, the dtype that driver sees)
     rng = np.random.default_rng(41)

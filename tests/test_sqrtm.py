@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from zolosqrt import linalg as linalg_module
 from zolosqrt import sqrtm as sqrtm_module
-from zolosqrt.corpus import method_label
+from zolosqrt.corpus import gen_spd_logspectrum, method_label
 from zolosqrt.linalg import SingularMatrixError, inverse, lu_factor, norm
 from zolosqrt.sqrtm import (
     ConvergenceReport,
@@ -135,15 +135,20 @@ def test_prepare_rejects_singular():
         prepare_problem(np.zeros((2, 2)), IterationOptions())
 
 
+def _rotation_blocks(r, t):
+    # 2x2 rotation-scaling blocks, one of modulus r_i and angle t_i each
+    B = np.zeros((2 * len(r), 2 * len(r)))
+    for i, (ri, ti) in enumerate(zip(r, t)):
+        B[2 * i:2 * i + 2, 2 * i:2 * i + 2] = ri * np.array(
+            [[math.cos(ti), math.sin(ti)], [-math.sin(ti), math.cos(ti)]])
+    return B
+
+
 def _complex_extremes_32():
     # S B S^-1 with B of 2x2 rotation-scaling blocks: every eigenvalue,
     # the extreme ones too, is one of a complex pair
     rng = np.random.default_rng(1)
-    blocks = [r * np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-              for r, t in zip(np.geomspace(1e-4, 1.0, 16), rng.uniform(0.3, 1.2, 16))]
-    B = np.zeros((32, 32))
-    for i, b in enumerate(blocks):
-        B[2 * i:2 * i + 2, 2 * i:2 * i + 2] = b
+    B = _rotation_blocks(np.geomspace(1e-4, 1.0, 16), rng.uniform(0.3, 1.2, 16))
     S = rng.standard_normal((32, 32)) + 6.0 * np.eye(32)
     return S @ B @ np.linalg.inv(S)
 
@@ -511,8 +516,6 @@ def test_drive_accepts_only_at_its_residual_bound(capsys):
 def test_drive_newton_type_accepts_graded_spd_input(seed):
     # Z-(1,0) on eigenvalues log-uniform in [1e-10, 1]: the gap test
     # accepts, where a change-based test stalled into stagnation
-    from zolosqrt.corpus import gen_spd_logspectrum
-
     tc = gen_spd_logspectrum(32, 1e-5, seed)
     X, _, rep = sqrtm_drive(tc.matrix, IterationOptions(m=1, ell=0))
     assert rep.reason == "criterion_satisfied"
@@ -529,6 +532,40 @@ _CHECKED_IDS = ["Z-full", "P-(8,8)", "DB"]
 def test_drive_rejects_singular_input(opts, A):
     with pytest.raises(SingularMatrixError):
         sqrtm_drive(A, opts)
+
+
+def test_drive_leaves_singular_to_the_flag_of_its_factor():
+    # eigvalsh reports |lambda|_min = 1e-17 as it is; the LU of A/s refuses A
+    with pytest.raises(SingularMatrixError, match="sqrtm_drive requires nonsingular A"):
+        sqrtm_drive(np.diag([1.0, 1e-17]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, alpha", [(16, 3e-8), (64, 1e-7), (256, 1e-7)])
+def test_drive_solves_nonsingular_input_with_tiny_eigenvalues(n, alpha, seed):
+    # spectra [alpha^2, 1] down to 9e-16, which the LU of A/s passes: no
+    # second singularity test refuses them
+    tc = gen_spd_logspectrum(n, alpha, seed)
+    X, _, rep = sqrtm_drive(tc.matrix)
+    assert rep.reason == "criterion_satisfied"
+    assert norm(X - tc.reference) / norm(tc.reference) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lo", [1e-14, 5e-15])
+def test_drive_solves_nonnormal_input_with_tiny_eigenvalues(lo, seed):
+    # S B S^-1 with S of condition number 2: |lambda|_min is 0.5-1.3
+    # n u norm(A, inf), and the least pivot of the LU of A/s is 3.6-16
+    # times its flag threshold. A block's root halves its angle.
+    rng = np.random.default_rng(seed)
+    r, t = np.geomspace(lo, 1.0, 16), rng.uniform(0.3, 1.2, 16)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((32, 32)))[0] for _ in range(2))
+    S = (q1 * np.geomspace(1.0, 2.0, 32)) @ q2.T
+    A, root = (S @ _rotation_blocks(*rt) @ np.linalg.inv(S)
+               for rt in ((r, t), (np.sqrt(r), t / 2)))
+    X, _, rep = sqrtm_drive(A)
+    assert rep.reason == "criterion_satisfied"
+    assert norm(X - root) / norm(root) <= 1e-8
 
 
 @pytest.mark.parametrize("opts", _CHECKED, ids=_CHECKED_IDS)
