@@ -267,12 +267,13 @@ def alpha_step(p: ZoloParams) -> float:
 
 
 def advance_alpha(alpha: float, m: int, ell: int) -> float:
-    """alpha_step with the end-game clamp: once 1 - alpha' < u the value
-    is rounded to exactly 1.0, after which it stays 1.0."""
+    """alpha_step with the end-game clamp: once 1 - alpha' <= u, or
+    rounding keeps alpha' from rising, the value is rounded to exactly
+    1.0, after which it stays 1.0, so no type stalls just below 1."""
     if alpha >= 1.0:
         return 1.0
     a1 = alpha_step(ZoloParams(m, ell, alpha))
-    return 1.0 if 1.0 - a1 < _EPS else a1
+    return 1.0 if 1.0 - a1 <= _EPS or a1 <= alpha else a1
 
 
 def epsilon_of(p: ZoloParams) -> float:

@@ -534,6 +534,12 @@ def test_drive_rejects_singular_input(opts, A):
         sqrtm_drive(A, opts)
 
 
+def test_drive_alpha_schedule_ends_at_exactly_one():
+    tc = gen_spd_logspectrum(16, 1e-5, seed=2)
+    _, _, rep = sqrtm_drive(tc.matrix, IterationOptions(m=4, ell=4))
+    assert rep.alpha_history[-1] == 1.0
+
+
 def test_drive_leaves_singular_to_the_flag_of_its_factor():
     # eigvalsh reports |lambda|_min = 1e-17 as it is; the LU of A/s refuses A
     with pytest.raises(SingularMatrixError, match="sqrtm_drive requires nonsingular A"):

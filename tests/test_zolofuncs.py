@@ -192,6 +192,26 @@ def test_advance_alpha_clamps_at_one():
     assert advance_alpha(1.0 - 1e-17, 2, 1) == 1.0
 
 
+@pytest.mark.parametrize("m, ell, ulps", [(1, 0, 1), (1, 1, 1), (4, 4, 1), (6, 5, 2), (7, 7, 2)])
+def test_advance_alpha_clamps_where_rounding_stalls(m, ell, ulps):
+    # alpha_step maps 1 - ulps*2^-53 to itself for these types; the clamp
+    # takes 1 - alpha' == u and an alpha' that does not rise, so the
+    # schedule does not stall there
+    a = 1.0 - ulps * 2.0 ** -53
+    assert alpha_step(ZoloParams(m, ell, a)) == a
+    assert advance_alpha(a, m, ell) == 1.0
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("dl", [0, 1])
+def test_advance_alpha_reaches_one(m, dl):
+    for a in np.geomspace(1e-12, 1.0 - 1e-8, 50):
+        alpha = float(a)
+        for _ in range(10):
+            alpha = advance_alpha(alpha, m, m - dl)
+        assert alpha == 1.0
+
+
 def test_epsilon_frozen_value():
     assert epsilon_of(ZoloParams(1, 0, 0.5)) == pytest.approx(
         EPS_10_HALF, rel=1e-13)
