@@ -125,11 +125,9 @@ class IterationOptions:
 class IterationState:
     """One iterate of a coupled method.
 
-    ``diag`` carries step byproducts: "zy_gap" = norm of the
-    tilde-normalized Z_k Y_k - I formed by a partial-fraction step;
-    "z_inv_norm" = norm of the Y_k^{-1} that a Denman-Beavers step
-    inverted, and "a_inv_norm" = norm(A^{-1}), which its first step
-    records from the inverse of X_0 (the scaled A) and later steps carry.
+    ``diag`` carries the one step byproduct, "zy_gap": the norm of the
+    tilde-normalized Z_k Y_k - I that a partial-fraction step forms.
+    A Denman-Beavers step leaves it empty.
     """
 
     Y: DenseMatrix
@@ -443,7 +441,8 @@ def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
     """One Denman-Beavers step: X' = (X + Y^{-1})/2, Y' = (Y + X^{-1})/2,
     with X in the Y slot and the companion iterate in the Z slot.
     Determinantal scaling rescales the pair before the averaging; the
-    inverses are reused, so no extra factorization is needed."""
+    inverses are reused, so no extra factorization is needed. It records
+    no byproduct: its stopping test reads the step changes alone."""
     X, Ydb = st.Y, st.Z
     n = X.shape[0]
 
@@ -452,15 +451,12 @@ def db_step(st: IterationState, det_scaling: bool = False) -> IterationState:
         return F, inverse(F)
 
     (FX, x_inv), (FY, y_inv) = _schedule(factor_and_invert, 2, n)
-    # X_0 is the scaled A, so the first step has inverted A
-    a_inv = norm(x_inv) if st.k == 0 else st.diag.get("a_inv_norm")
-    diag = {"a_inv_norm": a_inv, "z_inv_norm": norm(y_inv)}
     g = _det_scale_factor(FX.det_log, FY.det_log, n) if det_scaling else 1.0
     ginv = 1.0 / g
     return IterationState(
         Y=0.5 * (g * X + ginv * y_inv),
         Z=0.5 * (g * Ydb + ginv * x_inv),
-        alpha_k=1.0, k=st.k + 1, diag=diag,
+        alpha_k=1.0, k=st.k + 1,
     )
 
 
@@ -480,13 +476,18 @@ def termination_check(st: IterationState, prev: IterationState,
     norm(Yt_k - Yt_{k-1}), computed here once per iteration, and rel =
     change / norm(Yt_k). It reads st and prev and writes neither.
 
-    Partial-fraction steps (minimax, pade) are accepted when the stored
-    norm of Z_{k-1} Y_{k-1} - I (tilde-normalized) is at or below
-    8 (delta/4)^(1/q); Denman-Beavers steps when norm(Yt_k - Yt_{k-1}) is
-    at or below
-    (delta norm(Yt_k) / (norm(A^{-1}) norm(Zt_{k-1}^{-1})))^(1/q),
-    with delta = u sqrt(n), and norm(A^{-1}) and the raw
-    norm(Z_{k-1}^{-1}) read from st.diag ("a_inv_norm", "z_inv_norm").
+    A step of order q (q = m + ell + 1 for the partial-fraction methods,
+    2 for Denman-Beavers) is accepted once its measure is at or below one
+    bound, b = (delta/4)^(1/q) with delta = u sqrt(n). A partial-fraction
+    step measures an eighth of the gap norm(Zt_{k-1} Yt_{k-1} - I) that
+    st.diag stores ("zy_gap"), so it accepts when gap <= 8b.
+    Denman-Beavers measures the larger relative step change of its two
+    iterates, and never accepts a zero one. A step's change is about the
+    error of its input, which a Newton step squares and halves, so b
+    leaves the output near delta/8, where 8b would allow 8 delta. X_k's
+    change weighs the large eigenvalues and Y_k -> A^{-1/2} the small
+    ones, which converge last: on moler(16), X_k's change alone accepts
+    two steps early, with an Xinv 12.6 times less accurate.
     Stagnation fires when rel fails to halve rel_prev, the relative
     change at k-1, while both sit at or below 1e-2; requiring the
     previous change to be small as well keeps the window from opening on
@@ -503,16 +504,14 @@ def termination_check(st: IterationState, prev: IterationState,
     size = norm(yt)
     rel = change / size if size > 0.0 else 0.0
 
-    if not db:
-        gap = st.diag.get("zy_gap")
-        accept = gap is not None and gap <= 8.0 * (delta / 4.0) ** (1.0 / q)
+    if db:
+        # alpha_k = 1, so Z_k is its own tilde form; a zero iterate is never accepted
+        z_size = norm(st.Z)
+        measure = (max(rel, norm(st.Z - prev.Z) / z_size)
+                   if size > 0.0 and z_size > 0.0 else math.inf)
     else:
-        z_inv, a_inv = st.diag.get("z_inv_norm"), st.diag.get("a_inv_norm")
-        accept = z_inv is not None and a_inv is not None
-        if accept:
-            zt_inv = z_inv / _tilde_factor(prev.alpha_k)
-            accept = change <= (delta * size / (a_inv * zt_inv)) ** (1.0 / q)
-    if accept:
+        measure = st.diag.get("zy_gap", math.inf) / 8.0
+    if measure <= (delta / 4.0) ** (1.0 / q):
         return "accept", change, rel
     if size > 0.0 and rel_prev <= 1e-2 and 0.5 * rel_prev <= rel <= 1e-2:
         return "stagnate", change, rel

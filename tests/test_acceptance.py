@@ -223,8 +223,9 @@ def test_07b_residual_bound_attainable_cells(announce, bench_table):
 @pytest.mark.xfail(
     strict=True,
     reason="chebvand's residual floors at u*sqrt(kappa2(A)) ~ 1e-10 for "
-           "every method, and determinantal scaling leaves Denman-Beavers "
-           "a ~5.7e-10 floor on moler; both sit orders above 1e3*n*u*alpha_inf",
+           "the partial-fraction methods (6e-11 to 4.5e-10) and at ~1.1e-7 "
+           "for Denman-Beavers, and determinantal scaling leaves Denman-Beavers "
+           "a ~4.6e-10 floor on moler; all sit orders above 1e3*n*u*alpha_inf",
 )
 def test_07c_residual_bound_floors(announce, bench_table):
     cells = [("moler", "DB")]

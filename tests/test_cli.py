@@ -14,6 +14,7 @@ import scipy.io
 from numpy.testing import assert_allclose
 
 from zolosqrt.cli import main, read_matrix, write_matrix
+from zolosqrt.corpus import gen_moler
 from zolosqrt.zolofuncs import ZoloParams, kappa_of
 
 TRICKY = np.array([
@@ -324,6 +325,15 @@ def test_cmd_sqrtm_singular_input(tmp_path, capsys):
     write_matrix(np.zeros((2, 2)), src)
     assert main(["sqrtm", src, "-o", str(tmp_path / "x.mtx")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cmd_sqrtm_denman_beavers_accepts_moler(tmp_path, capsys):
+    # a good root at the floor of this ill-conditioned input is a success
+    src = str(tmp_path / "m.mtx")
+    write_matrix(gen_moler(16).matrix, src)
+    assert main(["sqrtm", src, "-o", str(tmp_path / "x.mtx"),
+                 "--method", "denman_beavers"]) == 0
+    assert _stdout_field(capsys, "reason") == "criterion_satisfied"
 
 
 def test_cmd_sqrtm_overwrite_refused(tmp_path, capsys):

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from zolosqrt import linalg as linalg_module
 from zolosqrt import sqrtm as sqrtm_module
-from zolosqrt.corpus import gen_spd_logspectrum, method_label
+from zolosqrt.corpus import gen_moler, gen_spd_logspectrum, method_label
 from zolosqrt.linalg import SingularMatrixError, inverse, lu_factor, norm
 from zolosqrt.sqrtm import (
     ConvergenceReport,
@@ -348,11 +348,32 @@ def test_db_step_aborts_on_singular_iterate():
 # ---------------------------------------------------------------- decisions
 
 def test_termination_accept_at_fixed_point():
-    # the change route, which only Denman-Beavers takes
+    # the change route, which only Denman-Beavers takes; it reads no diag
     opts = IterationOptions(method="denman_beavers")
     prev = _state(np.eye(2), k=0)
-    st = _state(np.eye(2), k=1, diag={"z_inv_norm": 1.0, "a_inv_norm": 1.0})
+    st = _state(np.eye(2), k=1)
     assert termination_check(st, prev, opts)[0] == "accept"
+
+
+@pytest.mark.parametrize("times, want", [(0.5, "accept"), (2.0, "continue")])
+@pytest.mark.parametrize("field", ["Y", "Z"])
+def test_termination_denman_beavers_bound_is_b(field, times, want):
+    # b = (delta/4)^(1/2) bounds the relative change of either iterate
+    opts = IterationOptions(method="denman_beavers")
+    b = (U * math.sqrt(2) / 4.0) ** 0.5
+    prev = _state(np.eye(2), k=0)
+    st = dataclasses.replace(_state(np.eye(2), k=1),
+                             **{field: (1.0 + times * b) * np.eye(2)})
+    decision, _, rel = termination_check(st, prev, opts)
+    assert decision == want
+    assert rel == (0.0 if field == "Z" else pytest.approx(times * b, rel=1e-7))
+
+
+def test_termination_denman_beavers_never_accepts_a_zero_iterate():
+    opts = IterationOptions(method="denman_beavers")
+    for Y, Z in [(np.zeros((2, 2)), np.eye(2)), (np.eye(2), np.zeros((2, 2)))]:
+        st = _state(Y, Z, k=1)
+        assert termination_check(st, st, opts)[0] == "continue"
 
 
 def test_termination_accept_gap_route():
@@ -366,7 +387,7 @@ def test_termination_continue_early():
     # large change, no usable history: the only decision is continue
     opts = IterationOptions(method="denman_beavers")
     prev = _state(np.eye(2), k=0)
-    st = _state(2.0 * np.eye(2), k=1, diag={"z_inv_norm": 1.0, "a_inv_norm": 1.0})
+    st = _state(2.0 * np.eye(2), k=1)
     assert termination_check(st, prev, opts)[0] == "continue"
 
 
@@ -598,8 +619,7 @@ def test_drive_factors_scaled_input_once_before_the_first_step(monkeypatch, opts
 
 
 def test_drive_denman_beavers_inverts_only_in_its_steps(monkeypatch):
-    # norm(A^{-1}) comes from the first step's inverse of X_0 = A_scaled,
-    # so every inverse is one of the two each step forms
+    # every inverse is one of the two each step forms
     calls = []
 
     def counting(F, _inverse=sqrtm_module.inverse):
@@ -613,22 +633,23 @@ def test_drive_denman_beavers_inverts_only_in_its_steps(monkeypatch):
     assert len(calls) == 2 * rep.iterations
 
 
-def test_drive_denman_beavers_states_carry_norm_of_a_inverse(monkeypatch):
-    # every state holds norm(A_s^{-1}) from the first step's inverse of X_0
-    states = []
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_drive_denman_beavers_accepts_graded_input_at_its_floor(n, seed):
+    # graded spectra: the stopping bound must sit above DB's attainable floor
+    tc = gen_spd_logspectrum(n, 1e-5, seed)
+    X, _, rep = sqrtm_drive(tc.matrix, IterationOptions(method="denman_beavers"))
+    assert rep.reason == "criterion_satisfied"
+    assert norm(X - tc.reference) / norm(tc.reference) <= 1e-10
 
-    def recorded(*args, _step=sqrtm_module.db_step, **kwargs):
-        states.append(_step(*args, **kwargs))
-        return states[-1]
 
-    monkeypatch.setattr(sqrtm_module, "db_step", recorded)
-    A = _spd(12, 75, shift=1.0)
-    opts = IterationOptions(method="denman_beavers")
-    _, _, rep = sqrtm_drive(A, opts)
-    want = norm(inverse(lu_factor(prepare_problem(A, opts)[0].real)))
-    assert len(states) == rep.iterations >= 2
-    assert all(st.diag["a_inv_norm"] == want for st in states)
-    assert not any("x_inv_norm" in st.diag for st in states)
+def test_drive_denman_beavers_accepts_moler_with_both_roots_converged():
+    # X_k's change settles two steps before Y_k's on moler(16); accepting
+    # on X_k's alone leaves norm(Xinv X - I) at 3.9e-7
+    A = gen_moler(16).matrix
+    X, Xinv, rep = sqrtm_drive(A, IterationOptions(method="denman_beavers"))
+    assert rep.reason == "criterion_satisfied"
+    assert norm(Xinv @ X - np.eye(16)) <= 1e-10
 
 
 _NO_ROOT = {"[[-4]]": np.array([[-4.0]]), "diag(-1, 4)": np.diag([-1.0, 4.0]),

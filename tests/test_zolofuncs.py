@@ -189,7 +189,8 @@ def test_alpha_step_moves_toward_one(m, dl, a):
 def test_advance_alpha_clamps_at_one():
     assert advance_alpha(1.0, 2, 2) == 1.0
     # once within one ulp of 1 the schedule parks at exactly 1
-    assert advance_alpha(1.0 - 1e-17, 2, 1) == 1.0
+    # (1 - 1e-17 rounds to 1 itself, so the largest double below 1 is used)
+    assert advance_alpha(math.nextafter(1.0, 0.0), 2, 1) == 1.0
 
 
 @pytest.mark.parametrize("m, ell, ulps", [(1, 0, 1), (1, 1, 1), (4, 4, 1), (6, 5, 2), (7, 7, 2)])
