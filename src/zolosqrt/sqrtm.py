@@ -142,7 +142,7 @@ class ConvergenceReport:
     """Outcome summary: histories are aligned with iterations 1..K."""
 
     iterations: int
-    reason: str  # criterion_satisfied | stagnation | max_iter
+    reason: str  # criterion_satisfied (the one bound met) | max_iter
     alpha_history: tuple[float, ...]
     change_history: tuple[float, ...]
     residual: float
@@ -469,12 +469,13 @@ def normalized_iterates(st: IterationState):
 
 
 def termination_check(st: IterationState, prev: IterationState,
-                      opts: IterationOptions, rel_prev: float = math.inf):
-    """Decide {continue, accept, stagnate} for the newly produced state.
+                      opts: IterationOptions):
+    """Decide {continue, accept} for the newly produced state.
 
     Returns (decision, change, rel): the step change
     norm(Yt_k - Yt_{k-1}), computed here once per iteration, and rel =
-    change / norm(Yt_k). It reads st and prev and writes neither.
+    change / norm(Yt_k), which the driver reads to switch determinantal
+    scaling off. It reads st and prev and writes neither.
 
     A step of order q (q = m + ell + 1 for the partial-fraction methods,
     2 for Denman-Beavers) is accepted once its measure is at or below one
@@ -488,12 +489,8 @@ def termination_check(st: IterationState, prev: IterationState,
     change weighs the large eigenvalues and Y_k -> A^{-1/2} the small
     ones, which converge last: on moler(16), X_k's change alone accepts
     two steps early, with an Xinv 12.6 times less accurate.
-    Stagnation fires when rel fails to halve rel_prev, the relative
-    change at k-1, while both sit at or below 1e-2; requiring the
-    previous change to be small as well keeps the window from opening on
-    the very step that first crosses 1e-2, where mid phase contraction
-    ratios routinely exceed 1/2 long before the iteration stalls. With
-    rel_prev = inf, as before the first step, it is inactive.
+    The bound is the only stop: a solve that never meets it runs
+    opts.max_iter steps.
     """
     delta = _EPS * math.sqrt(st.Y.shape[0])
     db = opts.method == "denman_beavers"
@@ -513,8 +510,6 @@ def termination_check(st: IterationState, prev: IterationState,
         measure = st.diag.get("zy_gap", math.inf) / 8.0
     if measure <= (delta / 4.0) ** (1.0 / q):
         return "accept", change, rel
-    if size > 0.0 and rel_prev <= 1e-2 and 0.5 * rel_prev <= rel <= 1e-2:
-        return "stagnate", change, rel
     return "continue", change, rel
 
 
@@ -551,7 +546,6 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
                            alpha_k=alpha, k=0)
     alpha_hist, change_hist = [], []
     reason = "max_iter"
-    rel = math.inf
 
     for _ in range(opts.max_iter):
         prev = state
@@ -561,19 +555,13 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
             state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
         else:
             state = db_step(prev, det_scaling=scaling_active)
-        decision, change, rel = termination_check(state, prev, opts, rel)
+        decision, change, rel = termination_check(state, prev, opts)
         alpha_hist.append(state.alpha_k)
         change_hist.append(change)
         if scaling_active and rel < 1e-2:
             scaling_active = False
-            # The first unscaled step absorbs a one-time renormalization
-            # jump, so its change is not comparable to det-scaled ones.
-            rel = math.inf
         if decision == "accept":
             reason = "criterion_satisfied"
-            break
-        if decision == "stagnate":
-            reason = "stagnation"
             break
 
     y_t, z_t = normalized_iterates(state)

@@ -336,6 +336,14 @@ def test_cmd_sqrtm_denman_beavers_accepts_moler(tmp_path, capsys):
     assert _stdout_field(capsys, "reason") == "criterion_satisfied"
 
 
+def test_cmd_sqrtm_solves_near_cut_input(tmp_path, capsys):
+    # eigenvalues -1 +- 1e-6 i: a slow start is no reason to give up
+    src = _write(tmp_path / "c.mtx", "%%MatrixMarket matrix array real general\n"
+                 "2 2\n-1\n-1e-6\n1e-6\n-1\n")
+    assert main(["sqrtm", src, "-o", str(tmp_path / "x.mtx")]) == 0
+    assert _stdout_field(capsys, "reason") == "criterion_satisfied"
+
+
 def test_cmd_sqrtm_overwrite_refused(tmp_path, capsys):
     src = str(tmp_path / "a.mtx")
     dst = str(tmp_path / "x.mtx")
