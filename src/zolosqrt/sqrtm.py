@@ -10,8 +10,8 @@ minimax method reads alpha, from the exact extreme eigenvalue moduli;
 the comparators run and report alpha = 1. States carry Y_k -> A^{1/2}
 and Z_k -> A^{-1/2} (for Denman-Beavers the pair (X_k, Y_k) lives in
 the same two slots). On real input every iterate is real, and all but
-Pade run in float64; Pade stays in complex128 for its A1/P-(1,0) cell
-of acceptance 7b. Every method returns complex128.
+Pade with m = 1 run in float64; that type stays in complex128 for its
+A1/P-(1,0) cell of acceptance 7b. Every method returns complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
@@ -520,9 +520,9 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     Returns (X, Xinv, report). The returned pair is tilde-normalized and
     unscaled back to the original A; the relative residual is measured
     once at exit in the inf-norm. When the scaled A is real and the
-    method is not Pade, all from the factor of the scaled A on (the
-    singularity check, iterates, exit residual) runs in float64. Pade
-    stays complex; X and Xinv are complex128 either way.
+    method is not Pade with m = 1, all from the factor of the scaled A on
+    (the singularity check, iterates, exit residual) runs in float64.
+    Pade with m = 1 stays complex; X and Xinv are complex128 either way.
     OpenBLAS runs on one thread for the whole call, and its previous
     thread counts are restored on return or raise.
     """
@@ -532,9 +532,9 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     n = A.shape[0]
     A_scaled, s, alpha = prepare_problem(A, opts)
     sqrt_s = math.sqrt(s)
-    # a quarter of the flops; Pade's A1/P-(1,0) cell of acceptance 7b
-    # reads 1.95 of its bound in float64 and 0.35 in complex
-    real = opts.method != "pade" and not np.any(A_scaled.imag)
+    # a quarter of the flops; Pade's m = 1 cell A1/P-(1,0) of acceptance
+    # 7b reads 1.95 of its bound in float64 and 0.35 in complex
+    real = (opts.method != "pade" or opts.m > 1) and not np.any(A_scaled.imag)
     if real:
         A, A_scaled = A.real, A_scaled.real
     FA = lu_factor(A_scaled)
