@@ -15,8 +15,8 @@ A1/P-(1,0) cell of acceptance 7b. Every method returns complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
-BLAS-3 calls of a solve run on one scheduler, whose workers are a
-process-wide thread pool and the calling thread: the m factor-and-invert
+BLAS-3 calls of a solve run on a process-wide pool of one thread per
+core, while the calling thread waits: the m factor-and-invert
 tasks of a step (or the two solves of a single shifted system), the two
 factorizations of determinantal scaling, the two inverses of a
 Denman-Beavers step, and the halves of every product, by rows of its
@@ -35,7 +35,7 @@ import glob
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -271,13 +271,12 @@ def _pooled(n: int) -> bool:
 
 
 def _executor() -> ThreadPoolExecutor:
-    # the calling thread is the last of the _WORKERS workers
     global _pool
     with _lock:
         if _pool is None or _pool[0] != _WORKERS:
             if _pool is not None:
                 _pool[1].shutdown(wait=False)
-            _pool = (_WORKERS, ThreadPoolExecutor(max_workers=_WORKERS - 1,
+            _pool = (_WORKERS, ThreadPoolExecutor(max_workers=_WORKERS,
                                                   thread_name_prefix="zolosqrt"))
         return _pool[1]
 
@@ -285,14 +284,12 @@ def _executor() -> ThreadPoolExecutor:
 def _schedule(fn, count: int, n: int):
     """Yield fn(0), ..., fn(count - 1) in index order.
 
-    When the order n is pooled, the calls run under one BLAS thread on
-    _WORKERS threads: the pool's _WORKERS - 1, which take calls in index
-    order, and the calling thread, which runs the first call no pool
-    thread has started whenever the result it must hand on next is not
-    ready. At most _WORKERS + 1 calls are submitted and not yet handed
-    on, so few results wait in memory. Either way the lowest failing index
-    raises, and no call is still running once this generator has
-    finished.
+    When the order n is pooled, the calls run under one BLAS thread on the
+    pool's _WORKERS threads, submitted in index order with at most
+    _WORKERS + 1 not yet handed on, so few results wait in memory. The
+    calling thread only waits, so the pooled calls of concurrent solves
+    share _WORKERS threads. Either way the lowest failing index raises,
+    and no call is still running once this generator has finished.
     """
     if count < 2 or not _pooled(n):
         for j in range(count):
@@ -300,15 +297,13 @@ def _schedule(fn, count: int, n: int):
         return
     with _one_blas_thread():
         pool = _executor()
-        window = collections.deque()  # futures of calls first, first + 1, ...
-        submitted = 0
+        window = collections.deque()  # futures of the calls not yet handed on
         try:
-            for first in range(count):
-                while submitted < count and len(window) <= _WORKERS:
-                    window.append(pool.submit(fn, submitted))
-                    submitted += 1
-                while not window[0].done() and _run_unstarted(window, fn, first):
-                    pass
+            for j in range(count):
+                window.append(pool.submit(fn, j))
+                if len(window) > _WORKERS:
+                    yield window.popleft().result()
+            while window:
                 yield window.popleft().result()
         finally:
             for future in window:
@@ -316,25 +311,9 @@ def _schedule(fn, count: int, n: int):
             wait(window)
 
 
-def _run_unstarted(window, fn, first: int) -> bool:
-    """Run on the calling thread the first call in window (call first + i
-    at position i) that no pool thread has started, leaving its outcome
-    in its place; False when every call has started."""
-    for i, future in enumerate(window):
-        if future.cancel():
-            done = Future()
-            try:
-                done.set_result(fn(first + i))
-            except Exception as exc:
-                done.set_exception(exc)
-            window[i] = done
-            return True
-    return False
-
-
 def _matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
     """matmul(A, B); when pooled, two products of the row halves of A on
-    the scheduler. A row of the product depends on that row of A alone,
+    the pool. A row of the product depends on that row of A alone,
     and gemm sums each entry in the same order for any number of rows, so
     the halves give the whole product's bits (column halves of B did not,
     at some odd orders)."""
@@ -374,7 +353,7 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
 
     Forms P = Z Y and records the gap norm(t^2 P - I), with t the tilde
     factor. h(P) commutes with P, so for m >= 2 it is built once: one
-    scheduler task per shift factors P + c_j I and inverts it, the
+    pooled task per shift factors P + c_j I and inverts it, the
     residues are summed in shift order from 0, and Y h(P) and h(P) Z are
     two products (at a start state h(P) Z is c h(P)). A single shifted
     system keeps its two solves, Y F^{-1} and F^{-1} Z, as two tasks:

@@ -972,35 +972,61 @@ def test_drive_complex_input_reproducible(monkeypatch, n):
             assert rep == runs[0][2]
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
-    # the calling thread is one of the workers: the pool adds workers - 1
-    _blas_threads()
-    monkeypatch.setattr(sqrtm_module, "_WORKERS", workers)
+def _record_pooled_calls(monkeypatch):
+    # (threads, peak): the threads that ran a call passed to _schedule, and
+    # the most such calls running at once
     lock = threading.Lock()
-    busy, peak, seen = 0, 0, set()
+    threads, busy, peak = set(), 0, [0]
+    schedule = sqrtm_module._schedule
 
-    def counted(fn):
-        def call(*args, **kwargs):
-            nonlocal busy, peak
+    def recording(fn, count, n):
+        def call(j):
+            nonlocal busy
             with lock:
                 busy += 1
-                peak = max(peak, busy)
-                seen.add(threading.get_ident())
+                peak[0] = max(peak[0], busy)
+                threads.add(threading.current_thread())
             try:
-                return fn(*args, **kwargs)
+                return fn(j)
             finally:
                 with lock:
                     busy -= 1
-        return call
+        return schedule(call, count, n)
 
-    monkeypatch.setattr(sqrtm_module, "lu_factor", counted(sqrtm_module.lu_factor))
-    monkeypatch.setattr(linalg_module, "solve", counted(linalg_module.solve))
+    monkeypatch.setattr(sqrtm_module, "_schedule", recording)
+    return threads, peak
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
+    # every pooled call runs on a pool thread; the calling thread only waits
+    _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", workers)
+    threads, peak = _record_pooled_calls(monkeypatch)
     A = _spd(POOL_N, 53, shift=4.0)
     for _ in range(5):
         sqrtm_drive(A)
-    assert len(seen) <= workers
-    assert peak <= workers
+    assert threads and all(t.name.startswith("zolosqrt") for t in threads)
+    assert len(threads) <= workers
+    assert peak[0] <= workers
+
+
+def test_concurrent_drives_compute_on_at_most_workers_threads(monkeypatch):
+    # three solves at once share the pool's threads, and their callers
+    # compute none of the pooled calls
+    _blas_threads()
+    monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
+    threads, peak = _record_pooled_calls(monkeypatch)
+    mats = [_spd(POOL_N, 54 + i, shift=4.0) for i in range(3)]
+    solvers = [threading.Thread(target=sqrtm_drive, args=(A,)) for A in mats]
+    for t in solvers:
+        t.start()
+    for t in solvers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in solvers)
+    assert threads and all(t.name.startswith("zolosqrt") for t in threads)
+    assert len(threads) <= 2
+    assert peak[0] <= 2
 
 
 @pytest.mark.parametrize("step", [
@@ -1139,15 +1165,10 @@ def test_drive_restores_blas_threads_after_a_raise(monkeypatch):
     controls = _blas_threads()
     monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
     real_inverse = sqrtm_module.inverse
-    pool_call = threading.Event()
 
     def inverse_failing_off_the_calling_thread(F):
         if threading.current_thread() is not threading.main_thread():
-            pool_call.set()
             raise IterationAbortError("injected on a pool worker")
-        # the calling thread takes any call no pool thread has started, so
-        # hold it until a pool thread has taken one of its own
-        pool_call.wait(timeout=60)
         return real_inverse(F)
 
     monkeypatch.setattr(sqrtm_module, "inverse", inverse_failing_off_the_calling_thread)
