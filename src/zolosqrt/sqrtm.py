@@ -16,13 +16,14 @@ A1/P-(1,0) cell of acceptance 7b. Every method returns complex128.
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
 BLAS-3 calls of a solve run on a process-wide pool of one thread per
-core, while the calling thread waits: the m factor-and-invert
-tasks of a step (or the two solves of a single shifted system), the two
-factorizations of determinantal scaling, the two inverses of a
-Denman-Beavers step, and the halves of every product, by rows of its
-left operand, since a product treats each row on its own. Only the LU of
-A stays serial. The partial-fraction reduction sums in shift order as
-results arrive, so the bits do not depend on the number of workers.
+core, while the calling thread waits: the m factor-and-invert tasks of a
+step (or the two solves of a single shifted system), its two products
+Y h and h Z, the two factorizations of determinantal scaling, and the
+two inverses of a Denman-Beavers step. No call is split: OpenBLAS 0.3.31's
+float64 gemm gives a row other bits in a block of rows of another
+height, at most orders that are not multiples of 8. The partial-fraction reduction sums in shift
+order as results arrive, so the bits do not depend on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -311,27 +312,6 @@ def _schedule(fn, count: int, n: int):
             wait(window)
 
 
-def _matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
-    """matmul(A, B); when pooled, two products of the row halves of A on
-    the pool. A row of the product depends on that row of A alone,
-    and gemm sums each entry in the same order for any number of rows, so
-    the halves give the whole product's bits (column halves of B did not,
-    at some odd orders)."""
-    n = A.shape[0]
-    if not _pooled(n):
-        return matmul(A, B)
-    C = np.empty((n, B.shape[1]), dtype=np.result_type(A, B))
-    cuts = (0, n // 2, n)
-
-    def half(i: int) -> None:
-        rows = slice(cuts[i], cuts[i + 1])
-        C[rows] = matmul(A[rows], B)
-
-    for _ in _schedule(half, 2, n):
-        pass
-    return C
-
-
 def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
@@ -355,7 +335,7 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     factor. h(P) commutes with P, so for m >= 2 it is built once: one
     pooled task per shift factors P + c_j I and inverts it, the
     residues are summed in shift order from 0, and Y h(P) and h(P) Z are
-    two products (at a start state h(P) Z is c h(P)). A single shifted
+    two products and two tasks (at a start state h(P) Z is c h(P)). A single shifted
     system keeps its two solves, Y F^{-1} and F^{-1} Z, as two tasks:
     there they cost 4.67 n^3 flops against 6.67 n^3 for an inverse and
     two products.
@@ -368,7 +348,7 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     # by an exact scaled identity changes at most the sign of a zero
     c = Z[0, 0]
     start = st.k == 0 and c != 0 and np.count_nonzero(Z) == n and (Z.diagonal() == c).all()
-    P = c * Y if start else _matmul(Z, Y)
+    P = c * Y if start else matmul(Z, Y)
     diag = {"zy_gap": norm(_tilde_factor(alpha) ** 2 * P - eye)}
 
     def factor(j: int):
@@ -391,8 +371,10 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
         if pf.has_constant_term:
             H = eye + H
         H = pf.scale * H
-        y_new = _matmul(Y, H)
-        z_new = c * H if start else _matmul(H, Z)
+        if start:
+            y_new, z_new = matmul(Y, H), c * H
+        else:
+            y_new, z_new = _schedule(lambda i: matmul(*((Y, H), (H, Z))[i]), 2, n)
     return IterationState(Y=y_new, Z=z_new, alpha_k=advance_alpha(alpha, m, ell),
                           k=st.k + 1, diag=diag)
 
@@ -546,7 +528,7 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     y_t, z_t = normalized_iterates(state)
     X = sqrt_s * y_t
     Xinv = z_t / sqrt_s
-    residual = norm(_matmul(X, X) - A) / norm(A)
+    residual = norm(matmul(X, X) - A) / norm(A)
     if real:
         X, Xinv = X.astype(complex), Xinv.astype(complex)
     report = ConvergenceReport(

@@ -884,9 +884,9 @@ ODD_N = 2 * POOL_N + 1
 @pytest.mark.parametrize("n", [POOL_N, ODD_N])
 def test_drive_split_paths_reproducible(monkeypatch, n):
     # Z-(1,0) runs the two solves of its one shifted system side by side,
-    # P-(8,8) the two LUs of determinantal scaling, and every method splits
-    # its products by rows: same bits at any worker count, for symmetric
-    # and nonsymmetric input
+    # P-(8,8) the two LUs of determinantal scaling, and Z-(8,8) and P-(8,8)
+    # the two products of a step: same bits at any worker count, for
+    # symmetric and nonsymmetric input
     rng = np.random.default_rng(n)
     mats = (_spd(n, 47, shift=4.0), rng.standard_normal((n, n)) + n * np.eye(n))
     for A in mats:
