@@ -178,13 +178,14 @@ def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     return A / s, s, alpha
 
 
-# Below this order the scheduler's hand-off costs about what running
-# calls side by side saves. Median solves at one BLAS thread, 2-core VM,
-# pooled against serial (README.md has the table): over the five methods
-# of the benchmark sweep, +22% at n = 32 and -8% at 48, where Z-(1,0),
-# all halves, still loses 23%; from 64 on every method is faster or
-# within noise, and the five together 21% faster.
-_POOL_MIN_N = 64
+# Below this order handing calls to the pool costs more than running them
+# side by side saves. Rounds of Z-(8,8), Z-(1,0), P-(8,8) and DB on one
+# SPD and one nonnormal input, one BLAS thread, 2-core VM, 30 alternating
+# rounds (README.md has the table): the pool took 1.49x serial's median
+# time at n = 64, 1.07x at 96 and 0.99x at 128, a tie (16 of 30 rounds
+# faster); from 160 on it was at most 0.89x, and faster in 25 of 30
+# rounds or more.
+_POOL_MIN_N = 160
 
 
 def _usable_cores() -> int:
