@@ -160,22 +160,24 @@ def prepare_problem(A: DenseMatrix, opts: IterationOptions):
     Returns (A_scaled, s, alpha) with s the power-iteration estimate of
     |lambda|_max. The comparators get alpha = 1, the value they run at;
     the minimax method gets opts.alpha_override verbatim, else
-    clamp(sqrt(|lambda|_min / |lambda|_max)) from the eigenvalues. Only
-    an exact zero (s, or an eigenvalue modulus) raises here; whether A is
-    singular is the flag of the driver's factor of A_scaled to decide.
+    clamp(sqrt(|lambda|_min / |lambda|_max)) from the eigenvalues of
+    A_scaled, which has the same bits for A and 4^e A. Only an exact zero
+    (s, or an eigenvalue modulus) raises here; whether A is singular is
+    the flag of the driver's factor of A_scaled to decide.
     """
     A = np.asarray(A, dtype=complex)
     s = spectral_radius_estimate(A)
     if s <= 0.0:
         raise SingularMatrixError("spectral radius estimate is zero")
+    A_scaled = A / s
     if opts.method != "zolotarev":
         alpha = 1.0
     elif opts.alpha_override is not None:
         alpha = float(opts.alpha_override)
     else:
-        ext = extreme_eigen_moduli(A)
+        ext = extreme_eigen_moduli(A_scaled)
         alpha = min(max(math.sqrt(ext.lo / ext.hi), _ALPHA_CLAMP[0]), _ALPHA_CLAMP[1])
-    return A / s, s, alpha
+    return A_scaled, s, alpha
 
 
 # Below this order handing calls to the pool costs more than running them
