@@ -17,13 +17,13 @@ A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
 BLAS-3 calls of a solve run on a process-wide pool of one thread per
 core, while the calling thread waits: the m factor-and-invert tasks of a
-step (or the two solves of a single shifted system), its two products
-Y h and h Z, the two factorizations of determinantal scaling, and the
-two inverses of a Denman-Beavers step. No call is split: OpenBLAS 0.3.31's
-float64 gemm gives a row other bits in a block of rows of another
-height, at most orders that are not multiples of 8. The partial-fraction reduction sums in shift
-order as results arrive, so the bits do not depend on the number of
-workers.
+step and then its two products Y h and h Z (or the two solves of a
+single shifted system), the two factorizations of determinantal
+scaling, and the two inverses of a Denman-Beavers step. No call is split: OpenBLAS
+0.3.31's float64 gemm gives a row other bits in a block of rows of
+another height, at many orders that are not multiples of 8. The
+partial-fraction reduction sums in shift order as results arrive, so the
+bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
