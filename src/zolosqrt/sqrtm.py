@@ -19,11 +19,11 @@ BLAS-3 calls of a solve run on a process-wide pool of one thread per
 core, while the calling thread waits: the m factor-and-invert tasks of a
 step and then its two products Y h and h Z (or the two solves of a
 single shifted system), the two factorizations of determinantal
-scaling, and the two inverses of a Denman-Beavers step. No call is split: OpenBLAS
-0.3.31's float64 gemm gives a row other bits in a block of rows of
-another height, at many orders that are not multiples of 8. The
-partial-fraction reduction sums in shift order as results arrive, so the
-bits do not depend on the number of workers.
+scaling, and the two inverses of a Denman-Beavers step. No call is
+split: OpenBLAS 0.3.31's float64 gemm gives a row other bits in a block
+of rows of another height, at many orders that are not multiples of 8.
+The partial-fraction reduction sums in shift order as results arrive,
+so the bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -338,10 +338,10 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     factor. h(P) commutes with P, so for m >= 2 it is built once: one
     pooled task per shift factors P + c_j I and inverts it, the
     residues are summed in shift order from 0, and Y h(P) and h(P) Z are
-    two products and two tasks (at a start state h(P) Z is c h(P)). A single shifted
-    system keeps its two solves, Y F^{-1} and F^{-1} Z, as two tasks:
-    there they cost 4.67 n^3 flops against 6.67 n^3 for an inverse and
-    two products.
+    two products, one task each (at a start state h(P) Z is c h(P)). A
+    single shifted system keeps its two solves, Y F^{-1} and F^{-1} Z, as
+    two tasks: there they cost 4.67 n^3 flops against 6.67 n^3 for an
+    inverse and two products.
     """
     alpha, Y, Z = st.alpha_k, st.Y, st.Z
     pf = _form_for(m, ell, alpha)

@@ -859,10 +859,17 @@ def _blas_threads():
     return controls
 
 
-# the smallest order whose steps run on the pool
-POOL_N = sqrtm_module._POOL_MIN_N
+# the order of the pooled-path tests: they pool from it, below the order
+# _POOL_MIN_N where pooling starts to pay, so that they stay quick
+POOL_N = 64
 
 
+@pytest.fixture
+def pooled_from_pool_n(monkeypatch):
+    monkeypatch.setattr(sqrtm_module, "_POOL_MIN_N", POOL_N)
+
+
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_thread_count_reproducibility(monkeypatch):
     # the reduction sums in shift order at any worker count, so bitwise
     A = _spd(POOL_N, 23, shift=POOL_N)
@@ -877,11 +884,13 @@ def test_drive_thread_count_reproducibility(monkeypatch):
             assert rep == runs[0][2]
 
 
-# an odd order above it, so that halves differ in size
+# an odd order above it, not a multiple of 8
 ODD_N = 2 * POOL_N + 1
 
 
-@pytest.mark.parametrize("n", [POOL_N, ODD_N])
+# at 98, float64 row halves of a product had other bits than the whole
+@pytest.mark.parametrize("n", [POOL_N, 98, ODD_N])
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_split_paths_reproducible(monkeypatch, n):
     # Z-(1,0) runs the two solves of its one shifted system side by side,
     # P-(8,8) the two LUs of determinantal scaling, and Z-(8,8) and P-(8,8)
@@ -925,6 +934,7 @@ _PADE = IterationOptions(method="pade")
 @pytest.mark.parametrize("opts", _Z_OPTS + [_DB, _PADE,
                                               IterationOptions(method="pade", m=4, ell=4)],
                          ids=_Z_IDS + ["DB", "P-(8,8)", "P-(4,4)"])
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_minimax_runs_in_float64_on_real_input(monkeypatch, opts, n):
     # and so do Denman-Beavers and Pade with m >= 2, whose iterates are
     # real on real input
@@ -956,6 +966,7 @@ def test_drive_complex_arithmetic_where_minimax_on_real_input_is_not(
 
 
 @pytest.mark.parametrize("n", [POOL_N, ODD_N])
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_complex_input_reproducible(monkeypatch, n):
     # the minimax method runs in float64 on real input, so the tests above
     # check it there; the same holds for its complex path
@@ -998,6 +1009,7 @@ def _record_pooled_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
     # every pooled call runs on a pool thread; the calling thread only waits
     _blas_threads()
@@ -1011,6 +1023,7 @@ def test_drive_computes_on_at_most_workers_threads(monkeypatch, workers):
     assert peak[0] <= workers
 
 
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_concurrent_drives_compute_on_at_most_workers_threads(monkeypatch):
     # three solves at once share the pool's threads, and their callers
     # compute none of the pooled calls
@@ -1084,6 +1097,7 @@ def _step_by_shifted_solves(st, m, ell):
 
 @pytest.mark.parametrize("n", [12, ODD_N])
 @pytest.mark.parametrize("m, ell", [(2, 1), (2, 2), (8, 8)])
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_zolo_step_forms_h_once_as_the_shifted_solves_would(monkeypatch, m, ell, n):
     # Y h(P) and h(P) Z from the inverses match the 2m shifted solves, with
     # (ell = m) and without a constant term, real and complex, on the pool
@@ -1133,6 +1147,7 @@ def test_zolo_step_linear_algebra_calls(monkeypatch, m, ell):
     assert products == ({0: 0, 1: 1} if m == 1 else {0: 1, 1: 3})
 
 
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_holds_blas_at_one_thread():
     controls = _blas_threads()
     before = [get() for get, _ in controls]
@@ -1151,6 +1166,7 @@ def test_drive_holds_blas_at_one_thread():
     assert np.array_equal(X1, X2) and np.array_equal(Xinv1, Xinv2)
 
 
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_pade_step_aborts_on_singular_shift_on_the_pool(monkeypatch):
     from zolosqrt.zolofuncs import pade_partial_fraction
 
@@ -1161,6 +1177,7 @@ def test_pade_step_aborts_on_singular_shift_on_the_pool(monkeypatch):
         pade_step(st, 2, 1)
 
 
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_drive_restores_blas_threads_after_a_raise(monkeypatch):
     controls = _blas_threads()
     monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
@@ -1178,6 +1195,7 @@ def test_drive_restores_blas_threads_after_a_raise(monkeypatch):
     assert [get() for get, _ in controls] == before
 
 
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_concurrent_drives_restore_blas_threads(monkeypatch):
     # overlapping holds from more threads than cores: the last to end
     # must restore what the first found, and each solve keeps its bits
@@ -1216,6 +1234,7 @@ def _solve_and_report(A, queue):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_forked_child_solves_after_the_parent_built_the_pool(monkeypatch):
     _blas_threads()
     monkeypatch.setattr(sqrtm_module, "_WORKERS", 2)
@@ -1239,6 +1258,7 @@ def test_forked_child_solves_after_the_parent_built_the_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.usefixtures("pooled_from_pool_n")
 def test_schedule_contract(monkeypatch, workers):
     # results in index order; the lowest failing index raises; and after
     # a raise or an early close no call is in flight and the BLAS thread
