@@ -88,10 +88,10 @@ class SpectralExtremes(NamedTuple):
 
 
 def matmul(A: DenseMatrix, B: DenseMatrix) -> DenseMatrix:
-    """C = A B for an r x n block of rows A and a square n x n matrix B."""
+    """C = A B for square matrices A and B of one order."""
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.ndim != 2 or B.shape != (A.shape[1], A.shape[1]):
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or B.shape != A.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return A @ B
 
@@ -145,10 +145,8 @@ def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
 
 
 def inverse(F: LUFactors) -> DenseMatrix:
-    """A^{-1} by solving against the identity, in the dtype of F."""
-    if F.singular:
-        raise SingularMatrixError("inverse of a singular factor")
-    return _lu_solve(F, np.eye(F.n, dtype=F.lu.dtype))
+    """A^{-1} = solve(F, I), in the dtype of F."""
+    return solve(F, np.eye(F.n, dtype=F.lu.dtype))
 
 
 def norm(A: DenseMatrix, kind: str = "inf") -> float:

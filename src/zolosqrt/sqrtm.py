@@ -9,21 +9,19 @@ zolo_step at alpha = 1. Denman-Beavers is the third method. Only the
 minimax method reads alpha, from the exact extreme eigenvalue moduli;
 the comparators run and report alpha = 1. States carry Y_k -> A^{1/2}
 and Z_k -> A^{-1/2} (for Denman-Beavers the pair (X_k, Y_k) lives in
-the same two slots). On real input every iterate is real, and all but
-Pade with m = 1 run in float64; that type stays in complex128 for its
-A1/P-(1,0) cell of acceptance 7b. Every method returns complex128.
+the same two slots). On real input every iterate is real, and every
+method runs in float64; X and Xinv are returned as complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
 BLAS-3 calls of a solve run on a process-wide pool of one thread per
 core, while the calling thread waits: the m factor-and-invert tasks of a
-step and then its two products Y h and h Z (or the two solves of a
-single shifted system), the two factorizations of determinantal
-scaling, and the two inverses of a Denman-Beavers step. No call is
-split: OpenBLAS 0.3.31's float64 gemm gives a row other bits in a block
-of rows of another height, at many orders that are not multiples of 8.
-The partial-fraction reduction sums in shift order as results arrive,
-so the bits do not depend on the number of workers.
+step and then its two products Y h and h Z, the two factorizations of
+determinantal scaling, and the two inverses of a Denman-Beavers step.
+No call is split: OpenBLAS 0.3.31's float64 gemm gives a row other bits
+in a block of rows of another height, at many orders that are not
+multiples of 8. The partial-fraction reduction sums in shift order as
+results arrive, so the bits do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -37,13 +35,14 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
 
 from .linalg import (
     DenseMatrix,
+    LUFactors,
     SingularMatrixError,
     dense,
     extreme_eigen_moduli,
@@ -53,7 +52,6 @@ from .linalg import (
     norm,
     spectral_radius_estimate,
 )
-from . import linalg as _la
 from .zolofuncs import _check_type, _form_for, _is_int, advance_alpha
 # bound only so that the benchmark's tracer can rebind it
 from .zolofuncs import pade_partial_fraction  # noqa: F401
@@ -126,16 +124,16 @@ class IterationOptions:
 class IterationState:
     """One iterate of a coupled method.
 
-    ``diag`` carries the one step byproduct, "zy_gap": the norm of the
-    tilde-normalized Z_k Y_k - I that a partial-fraction step forms.
-    A Denman-Beavers step leaves it empty.
+    ``zy_gap`` is the one step byproduct: the norm of the tilde-normalized
+    Z_k Y_k - I that a partial-fraction step forms. A Denman-Beavers step
+    leaves it at inf.
     """
 
     Y: DenseMatrix
     Z: DenseMatrix
     alpha_k: float
     k: int
-    diag: dict = field(default_factory=dict)
+    zy_gap: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,7 @@ def _tilde_factor(alpha: float) -> float:
     return (1.0 + alpha) / (2.0 * alpha)
 
 
-def _factor(M: DenseMatrix, what) -> _la.LUFactors:
+def _factor(M: DenseMatrix, what) -> LUFactors:
     """lu_factor(M), aborting the step on a singular factor; what() builds
     the abort message, so only a singular factor pays for it."""
     F = lu_factor(M)
@@ -335,13 +333,10 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     taken at the state's alpha_k; at alpha_k = 1 that is the Pade limit.
 
     Forms P = Z Y and records the gap norm(t^2 P - I), with t the tilde
-    factor. h(P) commutes with P, so for m >= 2 it is built once: one
-    pooled task per shift factors P + c_j I and inverts it, the
+    factor. h(P) commutes with P, so it is built once, for every type:
+    one pooled task per shift factors P + c_j I and inverts it, the
     residues are summed in shift order from 0, and Y h(P) and h(P) Z are
-    two products, one task each (at a start state h(P) Z is c h(P)). A
-    single shifted system keeps its two solves, Y F^{-1} and F^{-1} Z, as
-    two tasks: there they cost 4.67 n^3 flops against 6.67 n^3 for an
-    inverse and two products.
+    two products, one task each (at a start state h(P) Z is c h(P)).
     """
     alpha, Y, Z = st.alpha_k, st.Y, st.Z
     pf = _form_for(m, ell, alpha)
@@ -352,34 +347,25 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     c = Z[0, 0]
     start = st.k == 0 and c != 0 and np.count_nonzero(Z) == n and (Z.diagonal() == c).all()
     P = c * Y if start else matmul(Z, Y)
-    diag = {"zy_gap": norm(_tilde_factor(alpha) ** 2 * P - eye)}
+    zy_gap = norm(_tilde_factor(alpha) ** 2 * P - eye)
 
     def factor(j: int):
         return _factor(P + pf.shifts[j] * eye, lambda: f"singular shifted system at "
                        f"iteration {st.k + 1}, shift {j + 1} (c = {pf.shifts[j]:.6g})")
 
-    if m == 1:
-        F = factor(0)
-        a, b = _schedule(lambda i: _la.solve(F, (Y, Z)[i], side=("right", "left")[i]), 2, n)
-        # summed from 0 as the m >= 2 terms are, which turns a -0 entry into +0
-        y_new, z_new = 0 + pf.residues[0] * a, 0 + pf.residues[0] * b
-        if pf.has_constant_term:
-            y_new, z_new = Y + y_new, Z + z_new
-        y_new, z_new = pf.scale * y_new, pf.scale * z_new
+    H = 0
+    for inv, r in zip(_schedule(lambda j: inverse(factor(j)), m, n), pf.residues,
+                      strict=True):
+        H = H + r * inv
+    if pf.has_constant_term:
+        H = eye + H
+    H = pf.scale * H
+    if start:
+        y_new, z_new = matmul(Y, H), c * H
     else:
-        H = 0
-        for inv, r in zip(_schedule(lambda j: inverse(factor(j)), m, n), pf.residues,
-                          strict=True):
-            H = H + r * inv
-        if pf.has_constant_term:
-            H = eye + H
-        H = pf.scale * H
-        if start:
-            y_new, z_new = matmul(Y, H), c * H
-        else:
-            y_new, z_new = _schedule(lambda i: matmul(*((Y, H), (H, Z))[i]), 2, n)
+        y_new, z_new = _schedule(lambda i: matmul(*((Y, H), (H, Z))[i]), 2, n)
     return IterationState(Y=y_new, Z=z_new, alpha_k=advance_alpha(alpha, m, ell),
-                          k=st.k + 1, diag=diag)
+                          k=st.k + 1, zy_gap=zy_gap)
 
 
 def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
@@ -445,7 +431,7 @@ def termination_check(st: IterationState, prev: IterationState,
     2 for Denman-Beavers) is accepted once its measure is at or below one
     bound, b = (delta/4)^(1/q) with delta = u sqrt(n). A partial-fraction
     step measures an eighth of the gap norm(Zt_{k-1} Yt_{k-1} - I) that
-    st.diag stores ("zy_gap"), so it accepts when gap <= 8b.
+    st.zy_gap stores, so it accepts when gap <= 8b.
     Denman-Beavers measures the larger relative step change of its two
     iterates, and never accepts a zero one. A step's change is about the
     error of its input, which a Newton step squares and halves, so b
@@ -471,7 +457,7 @@ def termination_check(st: IterationState, prev: IterationState,
         measure = (max(rel, norm(st.Z - prev.Z) / z_size)
                    if size > 0.0 and z_size > 0.0 else math.inf)
     else:
-        measure = st.diag.get("zy_gap", math.inf) / 8.0
+        measure = st.zy_gap / 8.0
     if measure <= (delta / 4.0) ** (1.0 / q):
         return "accept", change, rel
     return "continue", change, rel
@@ -483,10 +469,9 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
 
     Returns (X, Xinv, report). The returned pair is tilde-normalized and
     unscaled back to the original A; the relative residual is measured
-    once at exit in the inf-norm. When the scaled A is real and the
-    method is not Pade with m = 1, all from the factor of the scaled A on
-    (the singularity check, iterates, exit residual) runs in float64.
-    Pade with m = 1 stays complex; X and Xinv are complex128 either way.
+    once at exit in the inf-norm. When the scaled A is real, all from
+    the factor of the scaled A on (the singularity check, iterates, exit
+    residual) runs in float64; X and Xinv are complex128 either way.
     OpenBLAS runs on one thread for the whole call, and its previous
     thread counts are restored on return or raise.
     """
@@ -496,9 +481,8 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     n = A.shape[0]
     A_scaled, s, alpha = prepare_problem(A, opts)
     sqrt_s = math.sqrt(s)
-    # a quarter of the flops; Pade's m = 1 cell A1/P-(1,0) of acceptance
-    # 7b reads 1.95 of its bound in float64 and 0.35 in complex
-    real = (opts.method != "pade" or opts.m > 1) and not np.any(A_scaled.imag)
+    # a quarter of the flops of complex arithmetic
+    real = not np.any(A_scaled.imag)
     if real:
         A, A_scaled = A.real, A_scaled.real
     FA = lu_factor(A_scaled)

@@ -79,16 +79,6 @@ def test_matmul_diagonal():
     assert_allclose(matmul(A, B), np.diag([10.0, 21.0]))
 
 
-def test_matmul_row_block_is_those_rows_of_the_product():
-    rng = np.random.default_rng(17)
-    A, B = _random_complex(101, rng), _random_complex(101, rng)
-    whole = matmul(A, B)
-    assert np.array_equal(matmul(A[:50], B), whole[:50])
-    assert np.array_equal(matmul(A[50:], B), whole[50:])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matmul(A[:50], B[:50])
-
-
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
         matmul(np.eye(2), np.eye(3))
