@@ -50,14 +50,6 @@ __all__ = [
 ]
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; remap to the documented code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _parse_float(token: str, path: str, lineno: int) -> float:
     token = token.strip()
     if "j" in token or "J" in token:
@@ -319,10 +311,11 @@ def cmd_bench(cfg) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="zolosqrt",
-                     description="Matrix square roots by rational minimax "
-                                 "iterations, with comparators and analysis tools.")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="zolosqrt",
+        description="Matrix square roots by rational minimax "
+                    "iterations, with comparators and analysis tools.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sq = sub.add_parser("sqrtm", help="compute A^(1/2) (and optionally A^(-1/2))")
@@ -379,8 +372,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         cfg = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return _DISPATCH[cfg.subcommand](cfg)
     except (SingularMatrixError, IterationAbortError) as exc:

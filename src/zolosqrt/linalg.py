@@ -118,30 +118,17 @@ def lu_factor(A: DenseMatrix) -> LUFactors:
     return LUFactors(lu=lu, piv=piv, n=n, singular=singular)
 
 
-def _lu_solve(F: LUFactors, B: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve with F in the work dtype of F and B; B is already of that dtype."""
+def solve(F: LUFactors, B: DenseMatrix) -> DenseMatrix:
+    """A^{-1} B from the factor F, in the work dtype of F and B."""
+    if F.singular:
+        raise SingularMatrixError("solve with a singular factor")
+    B = _work(np.asarray(B), F.lu.dtype)
     if not F.n:
         return np.empty_like(B)
     getrs = dgetrs if B.dtype == _REAL else zgetrs
     # scipy's getrs shifts the pivots it is given to 1-based and back in
     # place, so threads sharing one factor each pass their own copy
-    return getrs(F.lu.astype(B.dtype, copy=False), F.piv.copy(), B, trans=trans)[0]
-
-
-def solve(F: LUFactors, B: DenseMatrix, side: str = "left") -> DenseMatrix:
-    """A^{-1} B (side="left") or B A^{-1} (side="right") from the factor F.
-
-    The right solve runs through A^T X^T = B^T (plain transpose), so A is
-    never inverted explicitly.
-    """
-    if F.singular:
-        raise SingularMatrixError("solve with a singular factor")
-    B = _work(np.asarray(B), F.lu.dtype)
-    if side == "left":
-        return _lu_solve(F, B)
-    if side == "right":
-        return np.ascontiguousarray(_lu_solve(F, B.T, trans=1).T)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return getrs(F.lu.astype(B.dtype, copy=False), F.piv.copy(), B)[0]
 
 
 def inverse(F: LUFactors) -> DenseMatrix:

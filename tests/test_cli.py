@@ -663,8 +663,17 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     capsys.readouterr()
     assert main(["sqrtm"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "usage: zolosqrt sqrtm" in err
+    assert "zolosqrt sqrtm: error:" in err
     assert main(["frobnicate"]) == 1
+    capsys.readouterr()
+    # --help is no usage error: argparse's exit 0 stays 0
+    for argv, usage in ((["--help"], "usage: zolosqrt"),
+                        (["sqrtm", "--help"], "usage: zolosqrt sqrtm")):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(usage)
 
 
 # ------------------------------------------------------------------ package

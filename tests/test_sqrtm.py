@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies
 from numpy.testing import assert_allclose
 
@@ -1078,15 +1079,16 @@ def test_start_state_with_zero_diagonal_z_forms_the_product():
 
 
 def _step_by_shifted_solves(st, m, ell):
-    # the update as m right and m left solves, one pair per shifted system
+    # the update as m right and m left solves, one pair per shifted system;
+    # the right solve Y F^-1 is the transposed solve F^T X^T = Y^T
     pf = _form_for(m, ell, st.alpha_k)
     P = st.Z @ st.Y
     eye = np.eye(P.shape[0])
     y_sum = z_sum = 0
     for c, r in zip(pf.shifts, pf.residues, strict=True):
         F = lu_factor(P + c * eye)
-        y_sum = y_sum + r * linalg_module.solve(F, st.Y, side="right")
-        z_sum = z_sum + r * linalg_module.solve(F, st.Z, side="left")
+        y_sum = y_sum + r * scipy.linalg.lu_solve((F.lu, F.piv), st.Y.T, trans=1).T
+        z_sum = z_sum + r * linalg_module.solve(F, st.Z)
     if pf.has_constant_term:
         y_sum, z_sum = st.Y + y_sum, st.Z + z_sum
     return pf.scale * y_sum, pf.scale * z_sum
