@@ -225,6 +225,7 @@ def cmd_sqrtm(cfg) -> int:
     if cfg.inverse:
         write_matrix(Xinv, inv_path, cfg.format)
     print(f"iterations: {report.iterations}")
+    print(f"polish_steps: {report.polish_steps}")
     print(f"residual: {report.residual:.6e}")
     print(f"alpha: {report.alpha:.6e}")
     print(f"reason: {report.reason}")

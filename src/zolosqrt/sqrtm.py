@@ -7,10 +7,13 @@ Y' = Y h(Z Y), Z' = h(Z Y) Z, with h's coefficients taken at alpha_k;
 pade_step is determinantal scaling (in its early steps) followed by
 zolo_step at alpha = 1. Denman-Beavers is the third method. Only the
 minimax method reads alpha, from the exact extreme eigenvalue moduli;
-the comparators run and report alpha = 1. States carry Y_k -> A^{1/2}
-and Z_k -> A^{-1/2} (for Denman-Beavers the pair (X_k, Y_k) lives in
-the same two slots). On real input every iterate is real, and every
-method runs in float64; X and Xinv are returned as complex128.
+the comparators run and report alpha = 1. From its second step on, a
+minimax solve with m >= 2 finishes with Newton-Schulz steps (h(z) =
+(3 - z)/2, three products, no inverse) once they cost less than one
+more rational step. States carry Y_k -> A^{1/2} and Z_k -> A^{-1/2}
+(for Denman-Beavers the pair (X_k, Y_k) lives in the same two slots).
+On real input every iterate is real, and every method runs in float64;
+X and Xinv are returned as complex128.
 
 A solve holds the OpenBLAS builds of numpy and scipy at one thread.
 From order _POOL_MIN_N up, on two or more usable cores, the independent
@@ -125,8 +128,9 @@ class IterationState:
     """One iterate of a coupled method.
 
     ``zy_gap`` is the one step byproduct: the norm of the tilde-normalized
-    Z_k Y_k - I that a partial-fraction step forms. A Denman-Beavers step
-    leaves it at inf.
+    Z_k Y_k - I that a partial-fraction or polish step forms from its
+    input. A Denman-Beavers step leaves it at inf. ``polish`` marks the
+    output of a Newton-Schulz polish step, which has order 2.
     """
 
     Y: DenseMatrix
@@ -134,11 +138,14 @@ class IterationState:
     alpha_k: float
     k: int
     zy_gap: float = math.inf
+    polish: bool = False
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Outcome summary: histories are aligned with iterations 1..K."""
+    """Outcome summary. ``iterations`` counts the rational (or DB) steps,
+    which the alpha schedule predicts, ``polish_steps`` the Newton-Schulz
+    ones; both histories list every step in order, polish at alpha 1.0."""
 
     iterations: int
     reason: str  # criterion_satisfied (the one bound met) | max_iter
@@ -147,6 +154,7 @@ class ConvergenceReport:
     residual: float
     scale: float
     alpha: float
+    polish_steps: int = 0
 
 
 _ALPHA_CLAMP = (1e-12, 1.0 - 1e-8)
@@ -326,14 +334,15 @@ def _factor(M: DenseMatrix, what) -> LUFactors:
     return F
 
 
-def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
+def zolo_step(st: IterationState, m: int, ell: int, zy=None) -> IterationState:
     """One coupled minimax step of type (m, ell): the partial-fraction
     update Y' = Y h(Z Y), Z' = h(Z Y) Z with
     h(z) = pf.scale * ([1 +] sum_j residues[j] / (z + shifts[j])) and pf
     taken at the state's alpha_k; at alpha_k = 1 that is the Pade limit.
 
     Forms P = Z Y and records the gap norm(t^2 P - I), with t the tilde
-    factor. h(P) commutes with P, so it is built once, for every type:
+    factor, unless the caller passes both as zy = (P, gap). h(P)
+    commutes with P, so it is built once, for every type:
     one pooled task per shift factors P + c_j I and inverts it, the
     residues are summed in shift order from 0, and Y h(P) and h(P) Z are
     two products, one task each (at a start state h(P) Z is c h(P)).
@@ -346,8 +355,10 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
     # by an exact scaled identity changes at most the sign of a zero
     c = Z[0, 0]
     start = st.k == 0 and c != 0 and np.count_nonzero(Z) == n and (Z.diagonal() == c).all()
-    P = c * Y if start else matmul(Z, Y)
-    zy_gap = norm(_tilde_factor(alpha) ** 2 * P - eye)
+    if zy is None:
+        P = c * Y if start else matmul(Z, Y)
+        zy = P, norm(_tilde_factor(alpha) ** 2 * P - eye)
+    P, zy_gap = zy
 
     def factor(j: int):
         return _factor(P + pf.shifts[j] * eye, lambda: f"singular shifted system at "
@@ -366,6 +377,33 @@ def zolo_step(st: IterationState, m: int, ell: int) -> IterationState:
         y_new, z_new = _schedule(lambda i: matmul(*((Y, H), (H, Z))[i]), 2, n)
     return IterationState(Y=y_new, Z=z_new, alpha_k=advance_alpha(alpha, m, ell),
                           k=st.k + 1, zy_gap=zy_gap)
+
+
+def _minimax_step(st: IterationState, m: int, ell: int) -> IterationState:
+    """A minimax step after the first: form P = Z Y and its gap g once,
+    then run zolo_step on that P, or a coupled Newton-Schulz step on the
+    tilde pair, Y' = (t Y) H and Z' = H (t Z) with H = (3I - t^2 P)/2, at
+    alpha_k = 1, when polishing to the bound costs less than one more
+    rational step. H commutes with P, so the next gap matrix is exactly
+    3E^2/4 + E^3/4 for E = I - t^2 P: g <- (3g^2 + g^3)/4 bounds the
+    gap, and counts the p polish steps up to the one with g^2 <= delta.
+    Costs in gemm units, from n = 512 one-thread medians (getrf 4.4 ms,
+    getrs(I) 14.5, gemm 4.8): 3 per polish step, 3.9 m + 3 per rational."""
+    Y, Z = st.Y, st.Z
+    n = Y.shape[0]
+    eye = np.eye(n, dtype=np.result_type(Y, Z))
+    t = _tilde_factor(st.alpha_k)
+    P = matmul(Z, Y)
+    D = t ** 2 * P - eye
+    g = gap = norm(D)
+    budget, p = 3.9 * m + 3, 1
+    while gap * gap > _EPS * math.sqrt(n) and 3 * p < budget:
+        gap, p = gap * gap * (3.0 + gap) / 4.0, p + 1
+    if not (g < 1.0 and 3 * p < budget):  # NaN g too
+        return zolo_step(st, m, ell, zy=(P, g))
+    H, Y, Z = eye - 0.5 * D, t * Y, t * Z
+    y_new, z_new = _schedule(lambda i: matmul(*((Y, H), (H, Z))[i]), 2, n)
+    return IterationState(Y=y_new, Z=z_new, alpha_k=1.0, k=st.k + 1, zy_gap=g, polish=True)
 
 
 def _det_scale_factor(log_det_y: float, log_det_z: float, n: int) -> float:
@@ -428,10 +466,12 @@ def termination_check(st: IterationState, prev: IterationState,
     scaling off. It reads st and prev and writes neither.
 
     A step of order q (q = m + ell + 1 for the partial-fraction methods,
-    2 for Denman-Beavers) is accepted once its measure is at or below one
-    bound, b = (delta/4)^(1/q) with delta = u sqrt(n). A partial-fraction
-    step measures an eighth of the gap norm(Zt_{k-1} Yt_{k-1} - I) that
-    st.zy_gap stores, so it accepts when gap <= 8b.
+    2 for a polish step and for Denman-Beavers) is accepted once its
+    measure is at or below one bound, b = (delta/4)^(1/q) with
+    delta = u sqrt(n). A partial-fraction step measures an eighth of the
+    gap norm(Zt_{k-1} Yt_{k-1} - I) that st.zy_gap stores, so it accepts
+    when gap <= 8b. A polish step measures half of it, so it accepts when
+    gap^2 <= delta: its output gap is at most 3/4 gap^2 + 1/4 gap^3.
     Denman-Beavers measures the larger relative step change of its two
     iterates, and never accepts a zero one. A step's change is about the
     error of its input, which a Newton step squares and halves, so b
@@ -444,7 +484,7 @@ def termination_check(st: IterationState, prev: IterationState,
     """
     delta = _EPS * math.sqrt(st.Y.shape[0])
     db = opts.method == "denman_beavers"
-    q = 2 if db else opts.m + opts.ell + 1
+    q = 2 if db or st.polish else opts.m + opts.ell + 1
 
     yt = _tilde_factor(st.alpha_k) * st.Y
     change = norm(yt - _tilde_factor(prev.alpha_k) * prev.Y)
@@ -457,7 +497,7 @@ def termination_check(st: IterationState, prev: IterationState,
         measure = (max(rel, norm(st.Z - prev.Z) / z_size)
                    if size > 0.0 and z_size > 0.0 else math.inf)
     else:
-        measure = st.zy_gap / 8.0
+        measure = st.zy_gap / (2.0 if st.polish else 8.0)
     if measure <= (delta / 4.0) ** (1.0 / q):
         return "accept", change, rel
     return "continue", change, rel
@@ -494,18 +534,23 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
                            alpha_k=alpha, k=0)
     alpha_hist, change_hist = [], []
     reason = "max_iter"
+    polish_steps = 0
 
+    # max_iter caps rational and polish steps together
     for _ in range(opts.max_iter):
         prev = state
-        if opts.method == "zolotarev":
-            state = zolo_step(prev, opts.m, opts.ell)
-        elif opts.method == "pade":
+        if opts.method == "pade":
             state = pade_step(prev, opts.m, opts.ell, det_scaling=scaling_active)
-        else:
+        elif opts.method == "denman_beavers":
             state = db_step(prev, det_scaling=scaling_active)
+        elif prev.k == 0 or opts.m < 2:  # a Newton step beats the polish at m = 1
+            state = zolo_step(prev, opts.m, opts.ell)
+        else:
+            state = _minimax_step(prev, opts.m, opts.ell)
         decision, change, rel = termination_check(state, prev, opts)
         alpha_hist.append(state.alpha_k)
         change_hist.append(change)
+        polish_steps += state.polish
         if scaling_active and rel < 1e-2:
             scaling_active = False
         if decision == "accept":
@@ -519,7 +564,8 @@ def sqrtm_drive(A: DenseMatrix, opts: IterationOptions | None = None):
     if real:
         X, Xinv = X.astype(complex), Xinv.astype(complex)
     report = ConvergenceReport(
-        iterations=state.k,
+        iterations=state.k - polish_steps,
+        polish_steps=polish_steps,
         reason=reason,
         alpha_history=tuple(alpha_hist),
         change_history=tuple(change_hist),

@@ -14,7 +14,7 @@ import scipy.io
 from numpy.testing import assert_allclose
 
 from zolosqrt.cli import main, read_matrix, write_matrix
-from zolosqrt.corpus import gen_moler
+from zolosqrt.corpus import gen_moler, gen_spd_logspectrum
 from zolosqrt.zolofuncs import ZoloParams, kappa_of
 
 TRICKY = np.array([
@@ -363,6 +363,19 @@ def test_cmd_sqrtm_inverse_output(tmp_path, capsys):
     Xinv = read_matrix(str(tmp_path / "x.inv.mtx"))
     assert_allclose(X, np.diag([2.0, 3.0]), atol=1e-13)
     assert_allclose(X @ Xinv, np.eye(2), atol=1e-13)
+
+
+@pytest.mark.parametrize("args, polished", [([], True), (["--method", "pade"], False)],
+                         ids=["default", "pade"])
+def test_cmd_sqrtm_prints_polish_steps_after_iterations(tmp_path, capsys, args, polished):
+    src = str(tmp_path / "g.mtx")
+    write_matrix(gen_spd_logspectrum(64, 1e-4, seed=5).matrix, src)
+    assert main(["sqrtm", src, "-o", str(tmp_path / "x.mtx"), *args]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split(":", 1)[0] for line in lines]
+    assert names[names.index("iterations") + 1] == "polish_steps"
+    steps = int(lines[names.index("polish_steps")].split(":", 1)[1])
+    assert steps >= 1 if polished else steps == 0
 
 
 def test_cmd_sqrtm_invalid_type_pair(tmp_path, capsys):

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from zolosqrt import linalg as linalg_module
 from zolosqrt import sqrtm as sqrtm_module
-from zolosqrt.corpus import gen_moler, gen_spd_logspectrum, method_label
+from zolosqrt.corpus import bench_cases, gen_moler, gen_spd_logspectrum, method_label
 from zolosqrt.linalg import SingularMatrixError, inverse, lu_factor, norm
 from zolosqrt.sqrtm import (
     ConvergenceReport,
@@ -483,8 +483,8 @@ def test_drive_report_shape():
     _, _, rep = sqrtm_drive(_spd(6, 3, shift=6.0))
     assert isinstance(rep, ConvergenceReport)
     assert rep.reason in ("criterion_satisfied", "max_iter")
-    assert len(rep.alpha_history) == rep.iterations
-    assert len(rep.change_history) == rep.iterations
+    assert len(rep.alpha_history) == rep.iterations + rep.polish_steps
+    assert len(rep.change_history) == rep.iterations + rep.polish_steps
     assert rep.scale > 0.0 and 0.0 < rep.alpha <= 1.0 - 1e-8
 
 
@@ -709,6 +709,79 @@ def test_drive_step_count_is_predicted_by_alpha(n, a, seed, m, full):
     _, _, rep = sqrtm_drive(tc.matrix, IterationOptions(m=m, ell=ell))
     assert rep.reason == "criterion_satisfied"
     assert rep.iterations <= _predicted_steps(rep.alpha, m, ell, n) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=strategies.integers(2, 32), a=strategies.floats(3e-7, 0.5),
+       seed=strategies.integers(0, 2 ** 16), m=strategies.integers(2, 8),
+       full=strategies.booleans())
+def test_drive_polished_solve_is_accepted_within_max_iter(n, a, seed, m, full):
+    # with the Newton-Schulz finish, rational and polish steps together stay
+    # within max_iter and the root keeps its accuracy
+    opts = IterationOptions(m=m, ell=m if full else m - 1)
+    tc = gen_spd_logspectrum(n, a, seed)
+    X, _, rep = sqrtm_drive(tc.matrix, opts)
+    assert rep.reason == "criterion_satisfied"
+    assert rep.iterations + rep.polish_steps <= opts.max_iter
+    assert norm(X - tc.reference) / norm(tc.reference) <= 1e-8
+
+
+def _nonnormal_64(seed):
+    # bench/inputs' nonnormal kind: S B S^-1 with S of condition number 4 and
+    # B of 2x2 blocks, moduli log-spaced on [1e-4, 1], angles within 0.45 pi
+    rng = np.random.default_rng(seed)
+    r, t = np.geomspace(1e-4, 1.0, 32), rng.uniform(-0.45 * math.pi, 0.45 * math.pi, 32)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((64, 64)))[0] for _ in range(2))
+    S = (q1 * np.geomspace(1.0, 4.0, 64)) @ q2.T
+    A, root = (S @ _rotation_blocks(*rt) @ np.linalg.inv(S)
+               for rt in ((r, t), (np.sqrt(r), t / 2)))
+    return A, root
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["spd", "nonnormal"])
+def test_drive_default_solve_finishes_with_a_polish(kind, seed):
+    if kind == "spd":
+        tc = gen_spd_logspectrum(64, 1e-4, seed)
+        A, root = tc.matrix, tc.reference
+    else:
+        A, root = _nonnormal_64(seed)
+    X, Xinv, rep = sqrtm_drive(A)
+    assert rep.reason == "criterion_satisfied"
+    assert rep.polish_steps >= 1
+    assert rep.alpha_history[-rep.polish_steps:] == (1.0,) * rep.polish_steps
+    assert norm(X - root) / norm(root) <= 1e-10
+    assert norm(Xinv @ X - np.eye(64), "inf") <= 1e-10
+
+
+def test_drive_max_iter_caps_rational_and_polish_steps_together():
+    A = gen_spd_logspectrum(64, 1e-4, seed=0).matrix
+    _, _, rep = sqrtm_drive(A, IterationOptions(max_iter=2))
+    assert rep.reason == "max_iter"
+    assert (rep.iterations, rep.polish_steps) == (1, 1)
+    assert len(rep.alpha_history) == len(rep.change_history) == 2
+
+
+@pytest.mark.parametrize("opts", [IterationOptions(method="pade"),
+                                  IterationOptions(method="pade", m=1, ell=0),
+                                  IterationOptions(method="denman_beavers"),
+                                  IterationOptions(m=1, ell=0), IterationOptions(m=1, ell=1),
+                                  IterationOptions(max_iter=1)],
+                         ids=["P-(8,8)", "P-(1,0)", "DB", "Z-(1,0)", "Z-(1,1)", "Z-max_iter-1"])
+def test_drive_polishes_only_minimax_solves_with_two_or_more_shifts(opts):
+    for tc in bench_cases():
+        _, _, rep = sqrtm_drive(tc.matrix, opts)
+        assert rep.polish_steps == 0
+
+
+@pytest.mark.parametrize("times, want", [(0.99, "accept"), (1.01, "continue")])
+def test_termination_polish_bound_is_gap_squared_at_most_delta(times, want):
+    # order 2 and half the gap: b = (delta/4)^(1/2) accepts gap^2 <= delta
+    opts = IterationOptions()
+    gap = times * math.sqrt(U * math.sqrt(2))
+    prev = _state(np.eye(2), k=1)
+    st = dataclasses.replace(_state(np.eye(2), k=2, zy_gap=gap), polish=True)
+    assert termination_check(st, prev, opts)[0] == want
 
 
 def _scale_case(name):
