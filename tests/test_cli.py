@@ -184,6 +184,28 @@ def test_mm_empty_and_missing_bodies_warn_nothing(tmp_path):
             read_matrix(_write(tmp_path / "n.mtx", head + "2 2\n\n"))
 
 
+def test_mm_header_only_file_misses_its_size_line(tmp_path):
+    p = _write(tmp_path / "h.mtx",
+               "%%MatrixMarket matrix array real general\n% no size\n\n")
+    with pytest.raises(ValueError, match=r"h\.mtx: missing size line"):
+        read_matrix(p)
+
+
+def test_mm_empty_file_rejected(tmp_path):
+    p = _write(tmp_path / "e.mtx", "")
+    with pytest.raises(ValueError, match=r"e\.mtx: empty matrix file"):
+        read_matrix(p)
+
+
+def test_mm_complex_line_with_three_tokens_names_file_line(tmp_path):
+    # the '%' line sends the body through the token scan
+    text = ("%%MatrixMarket matrix array complex general\n1 1\n% x\n1 2 3\n")
+    p = _write(tmp_path / "t.mtx", text)
+    with pytest.raises(ValueError,
+                       match=r"t\.mtx:4: expected 're im', got '1 2 3'"):
+        read_matrix(p)
+
+
 def test_mm_reads_what_float_reads(tmp_path):
     p = _write(tmp_path / "u.mtx",
                "%%MatrixMarket matrix array real general\n1 1\n1_0\n")
@@ -269,6 +291,13 @@ def test_csv_rejects_unpaired_cell(tmp_path):
     p = _write(tmp_path / "p.csv", "1;0\n0;1\n")
     with pytest.raises(ValueError, match="'re,im'"):
         read_matrix(p, "csv")
+
+
+def test_csv_blank_line_between_rows_is_skipped(tmp_path):
+    plain = read_matrix(_write(tmp_path / "a.csv", "1,0;2,0\n3,0;4,0\n"), "csv")
+    spaced = read_matrix(_write(tmp_path / "b.csv", "1,0;2,0\n\n  \n3,0;4,0\n"), "csv")
+    assert np.array_equal(spaced, plain)
+    assert np.array_equal(plain, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -538,6 +567,13 @@ def test_cmd_contour_validation(capsys):
         assert main(["contour", "--m", "1", "--ell", "0", "--alpha", "0.5",
                      "--grid", grid]) == 1
         assert "grid must be 'NRxNTHETA'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0x3", "3x0"])
+def test_cmd_contour_rejects_empty_grid(capsys, grid):
+    assert main(["contour", "--m", "1", "--ell", "0", "--alpha", "0.5",
+                 "--grid", grid]) == 1
+    assert "grid dimensions must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["zolotarev", "pade"])

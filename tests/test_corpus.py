@@ -81,10 +81,13 @@ def test_moler_spd_pivots():
         assert np.all(np.diagonal(F.lu).real > 0.0)
 
 
-def test_moler_reference_absent_when_uncertifiable():
-    # lambda_min(moler) ~ 4^-n sinks under round-off near n = 24
-    assert gen_moler(16).reference is not None
-    assert gen_moler(32).reference is None
+def test_moler_reference_present_at_32():
+    # lambda_min(moler) ~ 4^-n sinks under round-off near n = 24, but the
+    # Cholesky factor of the integer matrix is exact, so the reference
+    # still certifies the root
+    tc = gen_moler(32)
+    assert tc.reference is not None
+    assert _reference_ok(tc)
 
 
 def test_moler_unit_determinant():
@@ -158,6 +161,14 @@ def test_reference_random_hermitian():
     X = reference_sqrt_hermitian(A)
     assert norm(X - X.conj().T, "max") <= 1e-12 * norm(X, "max")
     assert norm(X @ X - A, "inf") / norm(A, "inf") <= 100 * 8 * U
+
+
+def test_reference_edge_orders():
+    # no 0/0 warning from the empty SVD's scale, and the scalar root exact
+    assert reference_sqrt_hermitian(np.zeros((0, 0))).shape == (0, 0)
+    for a in (2.0, 1e-300, 3.0 + 0.0j):
+        X = reference_sqrt_hermitian(np.array([[a]]))
+        assert X.shape == (1, 1) and X[0, 0] == math.sqrt(a.real)
 
 
 def test_reference_rejects_non_hermitian():

@@ -44,6 +44,13 @@ def test_modulus_pair_stores_tiny_complement_exactly():
     assert mp.k == 1.0  # rounded, but the complement member is exact
 
 
+@pytest.mark.parametrize("k, k_prime, member", [
+    (1.5, 0.0, "modulus k"), (0.5, 1.5, "complement k_prime")])
+def test_modulus_pair_direct_construction_checks_range(k, k_prime, member):
+    with pytest.raises(ValueError, match=f"{member}=1.5 outside"):
+        ModulusPair(k, k_prime)
+
+
 def test_modulus_pair_validation():
     with pytest.raises(ValueError):
         ModulusPair(0.5, 0.5)  # 0.25+0.25 != 1

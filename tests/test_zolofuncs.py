@@ -241,6 +241,12 @@ def test_rho_frozen_values():
     assert rho_of(0.5) == pytest.approx(RHO_HALF, rel=1e-13)
 
 
+def test_rho_rejects_alpha_one():
+    # rho is infinite at alpha = 1, where K(alpha) diverges
+    with pytest.raises(ValueError, match="outside"):
+        rho_of(1.0)
+
+
 def test_rho_increasing():
     # the interval [alpha^2, 1] shrinks as alpha grows, so the annulus widens
     a = np.linspace(0.01, 0.99, 50)
@@ -277,6 +283,11 @@ def test_phi_branch_cut_rejected():
         phi_of(-1.0, 0.5)
     with pytest.raises(BranchCutError):
         phi_of(-0.25 + 0.0j, 0.5)
+
+
+def test_phi_rejects_alpha_zero():
+    with pytest.raises(ValueError, match="outside"):
+        phi_of(0.5, 0.0)
 
 
 def test_phi_pade_limit_closed_form():
@@ -422,6 +433,11 @@ def test_scalar_iterate_rejects_cut():
         scalar_iterate(-1.0, ZoloParams(1, 0, 0.5), 2)
     with pytest.raises(BranchCutError):
         scalar_iterate(0.0, ZoloParams(1, 0, 0.5), 2)
+
+
+def test_scalar_iterate_rejects_negative_step_count():
+    with pytest.raises(ValueError, match="k_max"):
+        scalar_iterate(0.3, ZoloParams(1, 0, 0.5), k_max=-1)
 
 
 def test_scalar_iterate_truncates_on_overflow():
